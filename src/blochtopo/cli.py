@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .core import make_grid
-from .errors import BlochtopoError, GaplessError, PhysicsError
+from .errors import BlochtopoError, PhysicsError
 from .frames import smooth_periodic_frame, z2_3d, z2_boundary_winding, z2_wilson_flow
 from .geometry import (
     berry_curvature,
@@ -165,7 +165,6 @@ _CONFIG_KEYS = {
     "steps",
     "invariant",
     "tolerance",
-    "threads",
 }
 
 
@@ -199,39 +198,37 @@ def _build_model(args):
             raise UsageError(f"model_file: cannot read {args.model_file}: {exc}")
     if not getattr(args, "model", None):
         raise UsageError("model: --model or --model-file is required")
-    params = args.params if isinstance(getattr(args, "params", None), dict) else _parse_params(getattr(args, "params", None))
-    return build_builtin(args.model, params)
+    return build_builtin(args.model, _params(args))
 
 
-def _family_and_grid(args, need_grid=True):
-    model = _build_model(args)
-    selection = _parse_selection(getattr(args, "bands", None), model)
-    family = ProjectorFamily.from_model(model, selection)
-    if not need_grid:
-        return model, family, None
+def _params(args):
+    params = getattr(args, "params", None)
+    return params if isinstance(params, dict) else _parse_params(params)
+
+
+def _make_grid(args, model):
+    """The --grid sizes as a grid of the model's lattice; one size is broadcast."""
     if getattr(args, "grid", None) is None:
         raise UsageError("grid: --grid is required for this command")
-    sizes = args.grid if isinstance(args.grid, tuple) else _parse_grid(args.grid)
+    sizes = _parse_grid(args.grid)
     if len(sizes) == 1 and model.lattice.dim > 1:
         sizes = sizes * model.lattice.dim
     if len(sizes) != model.lattice.dim:
         raise UsageError(
             f"grid: {len(sizes)} sizes for a {model.lattice.dim}-dimensional model"
         )
-    return model, family, make_grid(model.lattice, sizes)
+    return make_grid(model.lattice, sizes)
+
+
+def _family_and_grid(args, need_grid=True):
+    model = _build_model(args)
+    selection = _parse_selection(getattr(args, "bands", None), model)
+    family = ProjectorFamily.from_model(model, selection)
+    return model, family, _make_grid(args, model) if need_grid else None
 
 
 def _model_summary(model):
     return {"name": model.name, "params": _jsonable(model.params)}
-
-
-def _require_gapped(family, grid):
-    report = gap_check(family, grid)
-    if report.gapless:
-        raise GaplessError(
-            f"family is gapless on this grid (min separation {report.min_gap:.3e} "
-            f"at k={report.argmin})"
-        )
 
 
 def cmd_bands(args):
@@ -307,7 +304,7 @@ def cmd_gap(args):
 
 def cmd_chern(args):
     model, family, grid = _family_and_grid(args)
-    _require_gapped(family, grid)
+    gap_check(family, grid).require("Chern number")
     field = berry_curvature(family, grid)
     curvature = chern_number_curvature(field)
     plaquette = chern_number_plaquette(family, grid)
@@ -357,7 +354,7 @@ def cmd_wannier(args):
     model, family, grid = _family_and_grid(args)
     if not getattr(args, "output", None):
         raise UsageError("output: wannier writes the set as CSV and needs --output")
-    _require_gapped(family, grid)
+    gap_check(family, grid).require("Wannier set")
     frame = smooth_periodic_frame(family, grid)
     wset = wannier_from_frame(grid, frame.columns)
     export_wannier_csv(wset, args.output)
@@ -407,11 +404,13 @@ def cmd_sweep(args):
 
     if getattr(args, "model_file", None):
         raise UsageError("sweep: only builtin models can be swept (--model)")
-    base_params = args.params if isinstance(getattr(args, "params", None), dict) else _parse_params(getattr(args, "params", None))
+    base_params = _params(args)
     if args.vary not in BUILTIN_DEFAULTS.get(args.model, {}):
         raise UsageError(
             f"vary: {args.vary!r} is not a parameter of {args.model!r}"
         )
+    # builtin lattices do not depend on the parameters, so one grid serves every point
+    grid = _make_grid(args, base)
 
     points = []
     for value in values:
@@ -420,10 +419,6 @@ def cmd_sweep(args):
         model = build_builtin(args.model, params)
         selection = _parse_selection(getattr(args, "bands", None), model)
         family = ProjectorFamily.from_model(model, selection)
-        sizes = args.grid if isinstance(args.grid, tuple) else _parse_grid(args.grid)
-        if len(sizes) == 1 and model.lattice.dim > 1:
-            sizes = sizes * model.lattice.dim
-        grid = make_grid(model.lattice, sizes)
         report = gap_check(family, grid)
         record = {
             "value": float(value),
@@ -476,7 +471,6 @@ def _add_common(sub):
     sub.add_argument("--output", help="output path (CSV commands)")
     sub.add_argument("--config", help="JSON file mirroring the flags")
     sub.add_argument("--tolerance", type=float, help="tolerance override")
-    sub.add_argument("--threads", type=int, help="cap BLAS worker threads")
 
 
 def build_parser():
@@ -507,27 +501,12 @@ def build_parser():
     return parser
 
 
-def _limit_threads(n):
-    if n is None:
-        return None
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        return None
-    return threadpool_limits(limits=int(n))
-
-
 def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         args = _merge_config(args)
-        limiter = _limit_threads(getattr(args, "threads", None))
-        try:
-            payload = _COMMANDS[args.command](args)
-        finally:
-            if limiter is not None:
-                limiter.__exit__(None, None, None)
+        payload = _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -183,11 +183,6 @@ class BrillouinGrid:
         """(npoints, d) reduced coordinates."""
         return self.integers / np.asarray(self.sizes, dtype=float)
 
-    @property
-    def reduced_shaped(self):
-        """sizes + (d,) reduced coordinates."""
-        return self.reduced.reshape(self.sizes + (self.dim,))
-
     def flat_index(self, integer_vec):
         """Flat position of the grid point with the given integer index vector."""
         pos = 0
@@ -249,6 +244,8 @@ class TauRep:
     fiber_dim: int
     g_integers: np.ndarray = None
     matrices: dict = None
+    # shift kind: plane-wave integer vector -> mode index
+    _modes: dict = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("trivial", "shift", "explicit"):
@@ -257,6 +254,9 @@ class TauRep:
             raise SymmetryError("shift tau needs the plane-wave integer table")
         if self.kind == "explicit" and not self.matrices:
             raise SymmetryError("explicit tau needs a matrix table")
+        if self.kind == "shift":
+            modes = {tuple(g): i for i, g in enumerate(self.g_integers)}
+            object.__setattr__(self, "_modes", modes)
 
     def matrix(self, lam):
         """Matrix of tau(lambda) for an integer dual vector lambda."""
@@ -267,12 +267,11 @@ class TauRep:
             if lam not in self.matrices:
                 raise SymmetryError(f"tau matrix for lambda={lam} not provided")
             return np.asarray(self.matrices[lam], dtype=complex)
-        table = {tuple(g): i for i, g in enumerate(self.g_integers)}
         out = np.zeros((self.fiber_dim, self.fiber_dim), dtype=complex)
         for i, g in enumerate(self.g_integers):
             src = tuple(np.asarray(g) + np.asarray(lam))
-            if src in table:
-                out[i, table[src]] = 1.0
+            if src in self._modes:
+                out[i, self._modes[src]] = 1.0
         return out
 
     def retained(self, lam):
@@ -280,10 +279,9 @@ class TauRep:
         lam = tuple(int(x) for x in np.atleast_1d(lam))
         if self.kind != "shift":
             return np.ones(self.fiber_dim, dtype=bool)
-        table = {tuple(g): i for i, g in enumerate(self.g_integers)}
         mask = np.zeros(self.fiber_dim, dtype=bool)
         for i, g in enumerate(self.g_integers):
-            mask[i] = tuple(np.asarray(g) + np.asarray(lam)) in table
+            mask[i] = tuple(np.asarray(g) + np.asarray(lam)) in self._modes
         return mask
 
 

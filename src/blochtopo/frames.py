@@ -28,14 +28,13 @@ from .core import TimeReversal, reshuffle_matrix
 from .errors import (
     EvenRankError,
     FrameConstructionError,
-    GaplessError,
     ObstructionError,
     ProjectorDistanceError,
     RefinementError,
     SymmetryError,
 )
 from .geometry import chern_number_plaquette
-from .linalg import closest_unitary, unitary_geodesic, unitary_log
+from .linalg import closest_unitary, operator_norm, unitary_geodesic, unitary_log
 from .projectors import gap_check, verify_projector_symmetries
 
 __all__ = [
@@ -90,15 +89,6 @@ class Frame:
         return {"orthonormality": ortho, "range": rng, "pass": ortho < tol and rng < tol}
 
 
-def _opnorm(a):
-    return float(np.linalg.norm(a, 2))
-
-
-def _polar(a):
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    return u @ vh, float(s[-1])
-
-
 def kato_nagy(p1, p2):
     """Unitary W with W P1 W^dagger = P2, continuous in the pair.
 
@@ -108,7 +98,7 @@ def kato_nagy(p1, p2):
     p1 = np.asarray(p1, dtype=complex)
     p2 = np.asarray(p2, dtype=complex)
     d = p2 - p1
-    dist = _opnorm(d)
+    dist = operator_norm(d)
     if dist >= 1 - 1e-8:
         raise ProjectorDistanceError(
             f"projectors are unitarily too far apart: |P2 - P1| = {dist:.6f}"
@@ -142,20 +132,21 @@ def parallel_transport(family, start, path):
     max_step = 0.0
     min_sv = 1.0
     for j in range(1, npts):
-        step = _opnorm(projs[j] - projs[j - 1])
+        step = operator_norm(projs[j] - projs[j - 1])
         max_step = max(max_step, step)
         if step >= 1 - 1e-8:
             raise RefinementError(
                 f"projector step {step:.4f} between path points {j - 1} and {j} "
                 f"(k={tuple(path[j - 1])} -> {tuple(path[j])}); refine the path"
             )
-        q, smin = _polar(projs[j] @ frames[j - 1])
+        u, s, vh = np.linalg.svd(projs[j] @ frames[j - 1], full_matrices=False)
+        smin = float(s[-1])
         min_sv = min(min_sv, smin)
         if smin < 1e-8:
             raise RefinementError(
                 f"transported frame collapsed at path point {j} (k={tuple(path[j])})"
             )
-        frames[j] = q
+        frames[j] = u @ vh
     return Frame(
         points=path,
         columns=frames,
@@ -194,7 +185,7 @@ def kramers_frame(p, theta_eff, tol=1e-9):
         raise ValueError(f"projector trace {trace} is not close to an integer")
     if m % 2 != 0:
         raise EvenRankError(f"Kramers pairing needs an even rank, got {m}")
-    if _opnorm(theta_eff.conjugate(p) - p) > tol:
+    if operator_norm(theta_eff.conjugate(p) - p) > tol:
         raise SymmetryError("Theta_eff does not preserve the range of P")
     m_h = p.shape[0]
     remaining = p.copy()
@@ -252,21 +243,21 @@ def _chern_precheck(family, grid):
     return numbers
 
 
+def _spread_holonomy(frames, log_v):
+    """Close a transported loop of n + 1 frames: frames[j] @ exp(-(j/n) log_v), j < n."""
+    n = len(frames) - 1
+    return np.stack([frames[j] @ expm(-(j / n) * log_v) for j in range(n)])
+
+
 def _smooth_frame_1d(family, grid):
     n = grid.sizes[0]
     pts = grid.reduced
-    evals, evecs = family.eigensystems(pts[:1])
-    idx = family.selection.select(evals[0])
-    start = evecs[0][:, idx]
     path = np.vstack([pts, pts[:1] + 1.0])
-    transported = parallel_transport(family, start, path)
+    transported = parallel_transport(family, family.frames(pts[:1])[0], path)
     frames = transported.columns
     target = family.tau.matrix((1,)) @ frames[0]
-    mismatch, _ = _polar(target.conj().T @ frames[n])
-    log_v = unitary_log(mismatch)
-    out = np.empty((n,) + frames.shape[1:], dtype=complex)
-    for j in range(n):
-        out[j] = frames[j] @ expm(-(j / n) * log_v)
+    log_v = unitary_log(closest_unitary(target.conj().T @ frames[n]))
+    out = _spread_holonomy(frames, log_v)
     closure = float(np.linalg.norm(frames[n] @ expm(-log_v) - target))
     deriv = float(np.max(np.abs(np.diff(out, axis=0)))) * n
     return Frame(
@@ -285,10 +276,8 @@ def _smooth_frame_1d(family, grid):
 def _projection_gauge_frame(family, grid, seed, min_accept):
     pts = grid.reduced
     projs = family.projectors(pts)
-    evals, evecs = np.linalg.eigh(family.hamiltonians(pts[:1]))
-    idx = family.selection.select(evals[0])
-    m = idx.size
-    trials = [evecs[0][:, idx]]
+    trials = [family.frames(pts[:1])[0]]
+    m = trials[0].shape[1]
     rng = np.random.default_rng(seed)
     for _ in range(50):
         g = rng.standard_normal((family.fiber_dim, m)) + 1j * rng.standard_normal(
@@ -339,12 +328,7 @@ def smooth_periodic_frame(family, grid, seed=0, min_accept=1e-3):
 
     Plane-wave (nontrivial tau) sources are supported in one dimension.
     """
-    report = gap_check(family, grid)
-    if report.gapless:
-        raise GaplessError(
-            f"smooth frame needs the gap condition; minimum separation "
-            f"{report.min_gap:.3e} at k={report.argmin}"
-        )
+    gap_check(family, grid).require("smooth frame")
     if family.dim == 1:
         return _smooth_frame_1d(family, grid)
     if family.tau.kind != "trivial":
@@ -389,19 +373,13 @@ class Z2Result:
         }
 
 
-def _check_z2_preconditions(family, grid, theta):
+def _check_z2_preconditions(family, grid):
     if family.dim != 2:
         raise ValueError("Z2 invariants are computed on two-dimensional families")
-    if theta is None:
-        theta = family.time_reversal
+    theta = family.time_reversal
     if theta is None or theta.sign != -1:
         raise SymmetryError("Z2 invariants need a fermionic time reversal")
-    report = gap_check(family, grid)
-    if report.gapless:
-        raise GaplessError(
-            f"Z2 invariant needs the gap condition; minimum separation "
-            f"{report.min_gap:.3e} at k={report.argmin}"
-        )
+    gap_check(family, grid).require("Z2 invariant")
     audit = verify_projector_symmetries(family, grid)
     if not audit.verdicts.get("time_reversal"):
         raise SymmetryError(
@@ -410,7 +388,6 @@ def _check_z2_preconditions(family, grid, theta):
         )
     if audit.even_rank_violation:
         raise EvenRankError("fermionic family has odd selection rank")
-    return theta
 
 
 def _boundary_loop_points(n1, n2):
@@ -480,7 +457,7 @@ def _extendable_log(holonomy, flux):
     return log_v, shift, mismatch
 
 
-def z2_boundary_winding(family, grid, theta=None, gauge_seed=None):
+def z2_boundary_winding(family, grid, gauge_seed=None):
     """Z2 invariant from the boundary winding of det(Psi^dagger Phi_hat).
 
     Psi is a closed transported frame around the boundary of the effective
@@ -490,14 +467,13 @@ def z2_boundary_winding(family, grid, theta=None, gauge_seed=None):
     time-reversal and dual-shift identities. The winding of det(Psi^dagger
     Phi_hat), an integer, gives delta = winding mod 2.
     """
-    theta = _check_z2_preconditions(family, grid, theta)
+    _check_z2_preconditions(family, grid)
+    theta = family.time_reversal
     n1, n2 = grid.sizes
     loop = _boundary_loop_points(n1, n2)
     n_loop = len(loop)
 
-    evals, evecs = family.eigensystems(loop[:1])
-    idx = family.selection.select(evals[0])
-    start = evecs[0][:, idx]
+    start = family.frames(loop[:1])[0]
     m = start.shape[1]
     if gauge_seed is not None:
         rng = np.random.default_rng(gauge_seed)
@@ -507,7 +483,7 @@ def z2_boundary_winding(family, grid, theta=None, gauge_seed=None):
     closed_path = np.vstack([loop, loop[:1]])
     transported = parallel_transport(family, start, closed_path)
     psi = transported.columns
-    holonomy, _ = _polar(psi[0].conj().T @ psi[n_loop])
+    holonomy = closest_unitary(psi[0].conj().T @ psi[n_loop])
     flux = _half_cell_flux(family, grid)
     log_v, branch_shift, flux_mismatch = _extendable_log(holonomy, flux)
     if abs(flux_mismatch) > 1.0:
@@ -515,7 +491,7 @@ def z2_boundary_winding(family, grid, theta=None, gauge_seed=None):
             f"holonomy/flux mismatch {flux_mismatch:.3f} is too large to "
             "trust the closure branch; refine the grid"
         )
-    psi = np.stack([psi[j] @ expm(-(j / n_loop) * log_v) for j in range(n_loop)])
+    psi = _spread_holonomy(psi, log_v)
 
     trim_positions = {
         0: (0.0, -0.5),
@@ -525,16 +501,12 @@ def z2_boundary_winding(family, grid, theta=None, gauge_seed=None):
     }
     kramers = {}
     for pos, k_trim in trim_positions.items():
-        theta_eff = TimeReversal(
-            family.tau.matrix(np.round(2 * np.asarray(k_trim)).astype(int))
-            @ theta.unitary,
-            theta.sign,
-        )
+        theta_eff = effective_time_reversal(family, k_trim)
         kf = kramers_frame(family.projector(np.asarray(k_trim)), theta_eff)
         kramers[pos] = kf.single()
 
     match = {
-        pos: _polar(psi[pos].conj().T @ kramers[pos])[0] for pos in trim_positions
+        pos: closest_unitary(psi[pos].conj().T @ kramers[pos]) for pos in trim_positions
     }
 
     phi = np.empty_like(psi)
@@ -627,7 +599,7 @@ def _circ_dist(a, b):
     return d
 
 
-def z2_wilson_flow(family, grid, theta=None):
+def z2_wilson_flow(family, grid):
     """Z2 invariant from Wilson-loop eigenphase flow across half a period.
 
     For each k2 from 0 to 1/2 the k1 Wilson loop is computed and unitarized;
@@ -635,7 +607,7 @@ def z2_wilson_flow(family, grid, theta=None):
     the parity of the signed crossings of a reference phase line (pi, or
     the midpoint of the largest eigenphase gap at k2 = 0 if pi collides).
     """
-    theta = _check_z2_preconditions(family, grid, theta)
+    _check_z2_preconditions(family, grid)
     n1, n2 = grid.sizes
     rows = n2 // 2 + 1
     k2s = np.array([j / n2 for j in range(rows)])
@@ -741,7 +713,7 @@ class Z23DResult:
         }
 
 
-def z2_3d(family, grid, theta=None):
+def z2_3d(family, grid):
     """The four Z2 indices of a 3D fermionic TR family from six planes.
 
     Each invariant plane k_j in {0, 1/2} is restricted to a 2D family and
@@ -758,8 +730,8 @@ def z2_3d(family, grid, theta=None):
             sub = family.restrict(axis, value)
             sizes = tuple(s for j, s in enumerate(grid.sizes) if j != axis)
             subgrid = sub.make_grid(sizes)
-            winding = z2_boundary_winding(sub, subgrid, theta=theta)
-            flow = z2_wilson_flow(sub, subgrid, theta=theta)
+            winding = z2_boundary_winding(sub, subgrid)
+            flow = z2_wilson_flow(sub, subgrid)
             if winding.delta != flow.delta:
                 raise RefinementError(
                     f"Z2 methods disagree on plane k{axis + 1}={value}: "

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GaplessError, RefinementError
+from .errors import RefinementError
 from .projectors import gap_check
 
 __all__ = [
@@ -88,16 +88,6 @@ class ChernResult:
         }
 
 
-def _require_gapped(family, grid):
-    report = gap_check(family, grid)
-    if report.gapless:
-        raise GaplessError(
-            f"gap condition fails on the grid: minimum separation "
-            f"{report.min_gap:.3e} at k={report.argmin}"
-        )
-    return report
-
-
 def berry_curvature(family, grid, pair=(0, 1), step=None):
     """Finite-difference curvature field for one ordered axis pair.
 
@@ -108,7 +98,7 @@ def berry_curvature(family, grid, pair=(0, 1), step=None):
     mu, nu = pair
     if mu == nu:
         raise ValueError("curvature needs two distinct axes")
-    _require_gapped(family, grid)
+    gap_check(family, grid).require("curvature")
     if step is None:
         step = (grid.spacing[mu] / 2, grid.spacing[nu] / 2)
     step = (float(step[0]), float(step[1]))
@@ -198,7 +188,7 @@ def chern_number_plaquette(family, grid):
         raise ValueError("plaquette method needs a two-dimensional grid")
     if min(grid.sizes) < 8:
         raise ValueError("plaquette method needs at least 8 points per axis")
-    _require_gapped(family, grid)
+    gap_check(family, grid).require("plaquette Chern number")
     ext = _extended_frames(family, grid)
     n1, n2 = grid.sizes
     link1 = np.einsum("abij,abim->abjm", ext[:n1, :].conj(), ext[1:, :])

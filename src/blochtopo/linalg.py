@@ -13,6 +13,7 @@ __all__ = [
     "unitary_log",
     "unitary_geodesic",
     "hermitize",
+    "operator_norm",
 ]
 
 
@@ -30,6 +31,11 @@ def closest_unitary(a):
     """
     u, _, vh = np.linalg.svd(a, full_matrices=False)
     return u @ vh
+
+
+def operator_norm(a):
+    """Spectral norm (largest singular value), batched over leading axes."""
+    return np.linalg.svd(a, compute_uv=False).max(axis=-1)
 
 
 def eigenphases(u):

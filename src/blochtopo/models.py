@@ -20,6 +20,7 @@ from .core import (
     canonical_reduced,
 )
 from .errors import HermiticityError, SymmetryError, UnknownModelError
+from .linalg import operator_norm
 
 __all__ = [
     "HoppingModel",
@@ -368,10 +369,6 @@ class ModelAudit:
     tolerance: float = 1e-9
 
 
-def _batch_opnorm(a):
-    return np.linalg.svd(a, compute_uv=False)[..., 0]
-
-
 def verify_model_symmetries(model, grid, time_reversal=None, space_reflection=None, tol=1e-9):
     """Audit H(-k) = Theta H(k) Theta^{-1} and H(-k) = R H(k) R^{-1} on a grid.
 
@@ -387,11 +384,11 @@ def verify_model_symmetries(model, grid, time_reversal=None, space_reflection=No
     if tr is not None:
         u = tr.unitary
         defect = hneg - np.einsum("ab,kbc,dc->kad", u, np.conj(hs), np.conj(u))
-        tr_res = float(np.max(_batch_opnorm(defect)))
+        tr_res = float(np.max(operator_norm(defect)))
     if sr is not None:
         u = sr.unitary
         defect = hneg - np.einsum("ab,kbc,dc->kad", u, hs, np.conj(u))
-        sr_res = float(np.max(_batch_opnorm(defect)))
+        sr_res = float(np.max(operator_norm(defect)))
     parity = None
     if tr is not None or sr is not None:
         evals = np.linalg.eigvalsh(hs)

@@ -19,6 +19,7 @@ import numpy as np
 from .core import KPoint, Lattice, TauRep, make_grid
 from .errors import AmbiguousSelectionError, ContourCollisionError, GaplessError
 from .floquet import potential_matrix
+from .linalg import operator_norm
 from .models import bloch_hamiltonian_batch
 
 __all__ = [
@@ -413,6 +414,16 @@ class GapReport:
             "rank_constant": self.rank_constant,
         }
 
+    def require(self, what):
+        """This report, or GaplessError naming ``what`` when the verdict is gapless."""
+        if self.gapless:
+            raise GaplessError(
+                f"{what} needs the gap condition; minimum separation "
+                f"{self.min_gap:.3e} at k={self.argmin} is below threshold "
+                f"{self.threshold:.3e}"
+            )
+        return self
+
 
 def gap_check(family, grid, threshold=None):
     """Distance between the selected bands and the rest, minimized over the grid.
@@ -443,10 +454,6 @@ def gap_check(family, grid, threshold=None):
         threshold=float(threshold),
         rank_constant=rank_constant,
     )
-
-
-def _opnorms(stack):
-    return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 
 @dataclass(frozen=True)
@@ -504,13 +511,13 @@ def verify_projector_symmetries(family, grid, tol=1e-9):
         kept = family.tau.retained(lam)
         conj = np.einsum("ij,kjl,ml->kim", tmat, projs, tmat.conj())
         diff = (conj - shifted)[:, kept][:, :, kept]
-        tau_vals = np.maximum(tau_vals, _opnorms(diff))
+        tau_vals = np.maximum(tau_vals, operator_norm(diff))
     record("tau_covariance", tau_vals)
 
     tr = family.time_reversal
     if tr is not None:
         conj = np.einsum("ij,kjl,ml->kim", tr.unitary, projs.conj(), tr.unitary.conj())
-        record("time_reversal", _opnorms(conj - negated))
+        record("time_reversal", operator_norm(conj - negated))
         trace_diff = np.abs(np.trace(projs, axis1=1, axis2=2) - np.trace(negated, axis1=1, axis2=2))
         record("trace_parity", trace_diff)
     else:
@@ -521,7 +528,7 @@ def verify_projector_symmetries(family, grid, tol=1e-9):
     sr = family.space_reflection
     if sr is not None:
         conj = np.einsum("ij,kjl,ml->kim", sr.unitary, projs, sr.unitary.conj())
-        record("space_reflection", _opnorms(conj - negated))
+        record("space_reflection", operator_norm(conj - negated))
     else:
         residuals["space_reflection"] = None
         argmax["space_reflection"] = None
@@ -587,7 +594,7 @@ def _difference_quotients(family, grid):
         step = np.zeros(family.dim)
         step[axis] = delta
         shifted = family.projectors(pts + step)
-        out.append(float(np.max(_opnorms(shifted - projs))) / delta)
+        out.append(float(np.max(operator_norm(shifted - projs))) / delta)
     return tuple(out)
 
 
@@ -598,13 +605,7 @@ def smoothness_probe(family, grid, refine=2):
     quotient ratio well above 1 between the two resolutions means the family
     is not resolved (typically a near-closing gap).
     """
-    report = gap_check(family, grid)
-    if report.gapless:
-        raise GaplessError(
-            f"smoothness probe needs the gap condition; minimum selected-band "
-            f"separation {report.min_gap:.3e} at k={report.argmin} is below "
-            f"threshold {report.threshold:.3e}"
-        )
+    gap_check(family, grid).require("smoothness probe")
     fine_grid = make_grid(grid.lattice, tuple(refine * n for n in grid.sizes))
     coarse = _difference_quotients(family, grid)
     fine = _difference_quotients(family, fine_grid)

@@ -56,6 +56,15 @@ class TestExitCodes:
         code, _, err = run(capsys, "z2", "--model", "kane_mele", "--grid", "13")
         assert code == 1
 
+    def test_threads_option_is_gone(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "gap", "--model", "ssh", "--grid", "16", "--threads", "2")
+        assert code == 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "ssh", "grid": "16", "threads": 2}))
+        code, _, err = run(capsys, "gap", "--config", str(cfg))
+        assert code == 1
+        assert "threads" in err
+
     def test_gapless_family_is_physics(self, capsys):
         code, _, err = run(
             capsys, "chern", "--model", "ssh", "--params", "tp=1.0", "--grid", "16"
@@ -299,6 +308,15 @@ class TestSweep:
             "--from", "0", "--to", "1", "--steps", "1", "--grid", "12",
         )
         assert code == 1
+
+    def test_grid_rank_mismatch_is_usage(self, capsys):
+        code, _, err = run(
+            capsys,
+            "sweep", "--model", "kane_mele", "--vary", "lv",
+            "--from", "0", "--to", "0.6", "--steps", "3", "--grid", "16,16,16",
+        )
+        assert code == 1
+        assert "error: grid:" in err
 
 
 class TestAudit:

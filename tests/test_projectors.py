@@ -18,13 +18,19 @@ from blochtopo import (
     FourierPotential,
     GaplessError,
     ProjectorFamily,
+    berry_curvature,
     build_builtin,
+    chern_number_plaquette,
     default_contour,
     gap_check,
     make_plane_wave_basis,
     riesz_projector,
+    smooth_periodic_frame,
+    smoothness_probe,
     spectral_projector,
     verify_projector_symmetries,
+    z2_boundary_winding,
+    z2_wilson_flow,
 )
 
 
@@ -248,6 +254,27 @@ class TestGapCheck:
         k = np.asarray(report.argmin)
         assert min(np.linalg.norm(k - np.array([1 / 3, -1 / 3])),
                    np.linalg.norm(k + np.array([1 / 3, -1 / 3]))) < 0.1
+
+    @pytest.mark.parametrize(
+        "entry, model, params, sizes",
+        [
+            (berry_curvature, "haldane", {"M": 3 * np.sqrt(3) * 0.2}, (12, 12)),
+            (chern_number_plaquette, "haldane", {"M": 3 * np.sqrt(3) * 0.2}, (12, 12)),
+            (smoothness_probe, "haldane", {"M": 3 * np.sqrt(3) * 0.2}, (12, 12)),
+            (z2_boundary_winding, "kane_mele", {"lv": 3 * np.sqrt(3) * 0.06}, (12, 12)),
+            (z2_wilson_flow, "kane_mele", {"lv": 3 * np.sqrt(3) * 0.06}, (12, 12)),
+            (smooth_periodic_frame, "ssh", {"tp": 1.0}, (64,)),
+        ],
+        ids=lambda v: getattr(v, "__name__", None),
+    )
+    def test_entry_points_refuse_gapless_families(self, entry, model, params, sizes):
+        # each gap closes on a grid point: K = (1/3, -1/3) on 12^2, k = 1/2 for ssh
+        model = build_builtin(model, params)
+        fam = ProjectorFamily.from_model(model)
+        g = BrillouinGrid(model.lattice, sizes)
+        assert gap_check(fam, g).gapless
+        with pytest.raises(GaplessError):
+            entry(fam, g)
 
 
 class TestFamilyAudit:
