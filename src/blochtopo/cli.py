@@ -94,6 +94,8 @@ def _parse_params(text):
 def _parse_grid(text):
     if not text:
         raise UsageError("grid: at least one size is required")
+    if not isinstance(text, str):
+        raise UsageError(f"grid: sizes must be a string such as '16,16', got {text!r}")
     try:
         sizes = tuple(int(s) for s in text.split(","))
     except ValueError:

@@ -115,9 +115,6 @@ class KPoint:
         """Canonical representative of -k."""
         return KPoint(canonical_reduced([-x for x in self.reduced]))
 
-    def cartesian(self, lattice):
-        return lattice.kcart(np.asarray(self.reduced))
-
 
 def trim_points(lattice):
     """The 2^d time-reversal invariant momenta lambda/2 mod Gamma*.

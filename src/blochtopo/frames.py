@@ -76,18 +76,6 @@ class Frame:
             raise ValueError("not a single-point frame")
         return self.columns[0]
 
-    def validate(self, family, tol=1e-10):
-        """Max orthonormality and range residuals against a family."""
-        projs = family.projectors(self.points)
-        eye = np.eye(self.rank)
-        ortho = max(
-            float(np.linalg.norm(c.conj().T @ c - eye)) for c in self.columns
-        )
-        rng = max(
-            float(np.linalg.norm(p @ c - c)) for p, c in zip(projs, self.columns)
-        )
-        return {"orthonormality": ortho, "range": rng, "pass": ortho < tol and rng < tol}
-
 
 def kato_nagy(p1, p2):
     """Unitary W with W P1 W^dagger = P2, continuous in the pair.

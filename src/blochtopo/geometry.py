@@ -54,17 +54,6 @@ class CurvatureField:
     def shaped(self):
         return self.values.reshape(self.grid.sizes)
 
-    def swapped(self):
-        """The field for the transposed pair (nu, mu): exact negation."""
-        return CurvatureField(
-            grid=self.grid,
-            pair=(self.pair[1], self.pair[0]),
-            values=-self.values,
-            step=(self.step[1], self.step[0]),
-            method=self.method,
-            discarded_real=self.discarded_real,
-        )
-
 
 @dataclass(frozen=True)
 class ChernResult:

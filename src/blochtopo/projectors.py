@@ -86,10 +86,7 @@ class BandSelection:
         n = evals.shape[0]
         if self.mode == "index_window":
             if self.start + self.count > n:
-                raise ValueError(
-                    f"index window {self.start}..{self.start + self.count - 1} "
-                    f"exceeds the {n} available bands"
-                )
+                raise self._window_error(n)
             idx = np.arange(self.start, self.start + self.count)
         else:
             idx = np.nonzero((evals >= self.energy_low) & (evals <= self.energy_high))[0]
@@ -99,6 +96,37 @@ class BandSelection:
             return idx, np.inf
         sep = float(np.min(np.abs(evals[mask][:, None] - evals[~mask][None, :])))
         return idx, sep
+
+    def _window_error(self, n):
+        return ValueError(
+            f"index window {self.start}..{self.start + self.count - 1} "
+            f"exceeds the {n} available bands"
+        )
+
+    def separations(self, evals):
+        """``separation`` over an (npts, n) stack of ascending rows, batched.
+
+        Returns (lo, hi, sep): row i selects evals[i, lo[i]:hi[i]] and sep[i]
+        equals ``separation(evals[i])[1]`` bit for bit. Sorted rows make the
+        selection contiguous, and float subtraction is monotone, so the
+        pairwise minimum is attained at one of the two window boundaries.
+        """
+        evals = np.asarray(evals, dtype=float)
+        npts, n = evals.shape
+        if self.mode == "index_window":
+            if self.start + self.count > n:
+                raise self._window_error(n)
+            lo = np.full(npts, self.start)
+            hi = lo + self.count
+        else:
+            lo = np.count_nonzero(evals < self.energy_low, axis=1)
+            hi = np.count_nonzero(evals <= self.energy_high, axis=1)
+        # gaps[:, j] = |e_j - e_(j-1)|, +inf past either end of the spectrum
+        gaps = np.full((npts, n + 1), np.inf)
+        gaps[:, 1:-1] = np.abs(evals[:, 1:] - evals[:, :-1])
+        rows = np.arange(npts)
+        sep = np.where(hi > lo, np.minimum(gaps[rows, lo], gaps[rows, hi]), np.inf)
+        return lo, hi, sep
 
     def select(self, evals):
         """Selected indices; errors when the window boundary splits a cluster."""
@@ -275,13 +303,6 @@ class ProjectorFamily:
             source=(potential, basis),
         )
 
-    @property
-    def n_selected(self):
-        """Selection rank for index windows; None for energy windows."""
-        if self.selection.mode == "index_window":
-            return self.selection.count
-        return None
-
     def _points(self, points):
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
@@ -307,8 +328,7 @@ class ProjectorFamily:
             lo = self.selection.start
             hi = lo + self.selection.count
             if strict:
-                for row in evals:
-                    self.selection.select(row)
+                self._require_separated(evals)
             v = evecs[:, :, lo:hi]
             return np.einsum("kim,kjm->kij", v, v.conj())
         out = np.zeros_like(evecs)
@@ -321,22 +341,26 @@ class ProjectorFamily:
     def frames(self, points):
         """Eigenvector frames spanning the selected space (gauge arbitrary)."""
         evals, evecs = self.eigensystems(points)
-        cols = []
-        for row, vec in zip(evals, evecs):
-            idx = self.selection.select(row)
-            cols.append(vec[:, idx])
-        ranks = {c.shape[1] for c in cols}
+        lo, hi = self._require_separated(evals)
+        ranks = set((hi - lo).tolist())
         if len(ranks) != 1:
             raise GaplessError(f"selection rank varies over the points: {sorted(ranks)}")
-        return np.stack(cols)
+        # gathered as (npts, rank, m_H) and swapped back: each point's frame is
+        # column-major, the layout a stack of per-point vec[:, idx] copies has
+        cols = lo[:, None] + np.arange(hi[0] - lo[0])
+        return evecs.swapaxes(1, 2)[np.arange(len(lo))[:, None], cols].swapaxes(1, 2)
+
+    def _require_separated(self, evals):
+        """(lo, hi) per row; on failure ``select`` raises at the first bad row."""
+        lo, hi, sep = self.selection.separations(evals)
+        if np.any((hi == lo) | (sep <= _SEPARATION_TOL)):
+            for row in evals:
+                self.selection.select(row)
+        return lo, hi
 
     def projector(self, k):
         red = np.asarray(k.reduced if isinstance(k, KPoint) else k, dtype=float)
         return self.projectors(red.reshape(1, -1))[0]
-
-    def hamiltonian(self, k):
-        red = np.asarray(k.reduced if isinstance(k, KPoint) else k, dtype=float)
-        return self.hamiltonians(red.reshape(1, -1))[0]
 
     def make_grid(self, sizes):
         """Negation-closed grid matching this family's dimension.
@@ -438,12 +462,8 @@ def gap_check(family, grid, threshold=None):
     scale = max(1.0, float(np.max(np.abs(evals))))
     if threshold is None:
         threshold = 1e-8 * scale
-    seps = np.empty(len(pts))
-    ranks = np.empty(len(pts), dtype=int)
-    for i, row in enumerate(evals):
-        idx, sep = family.selection.separation(row)
-        seps[i] = sep
-        ranks[i] = idx.size
+    lo, hi, seps = family.selection.separations(evals)
+    ranks = hi - lo
     imin = int(np.argmin(seps))
     rank_constant = bool(np.all(ranks == ranks[0]))
     min_gap = float(seps[imin])

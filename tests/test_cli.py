@@ -129,6 +129,14 @@ class TestConfigFile:
         code, _, err = run(capsys, "z2", "--config", str(cfg), "--grid", "12")
         assert code == 1
 
+    @pytest.mark.parametrize("grid", [16, [16, 16]], ids=["int", "list"])
+    def test_non_string_config_grid_is_usage(self, capsys, tmp_path, grid):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "haldane", "grid": grid}))
+        code, _, err = run(capsys, "gap", "--config", str(cfg))
+        assert code == 1
+        assert "error: grid:" in err
+
 
 class TestBands:
     def test_path_csv(self, capsys, tmp_path):

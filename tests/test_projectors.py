@@ -8,6 +8,8 @@ eigensolver). Convergence in the node count must be geometric.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochtopo import (
     AmbiguousSelectionError,
@@ -18,6 +20,7 @@ from blochtopo import (
     FourierPotential,
     GaplessError,
     ProjectorFamily,
+    TauRep,
     berry_curvature,
     build_builtin,
     chern_number_plaquette,
@@ -84,6 +87,153 @@ class TestBandSelection:
         sel = BandSelection.lowest(3)
         _, sep = sel.separation(np.array([-1.0, 0.0, 1.0]))
         assert sep == np.inf
+
+
+@st.composite
+def sorted_spectra(draw):
+    """(npts, n) stack of ascending rows, many with ties at a window boundary."""
+    n = draw(st.integers(1, 6))
+    npts = draw(st.integers(1, 5))
+    value = st.floats(-4.0, 4.0, allow_nan=False)
+    pool = draw(st.lists(value, min_size=1, max_size=3))
+    rows = []
+    for _ in range(npts):
+        entries = st.lists(st.one_of(st.sampled_from(pool), value), min_size=n, max_size=n)
+        row = sorted(draw(entries))
+        if n > 1 and draw(st.booleans()):
+            # copying the left neighbour keeps the row sorted and forces a tie
+            j = draw(st.integers(1, n - 1))
+            row[j] = row[j - 1]
+        rows.append(row)
+    return np.array(rows)
+
+
+@st.composite
+def selections_for(draw, evals):
+    n = evals.shape[1]
+    if draw(st.booleans()):
+        start = draw(st.integers(0, n))
+        # counts past n - start make a window wider than the spectrum
+        return BandSelection.index_window(start, draw(st.integers(1, n + 1)))
+    # edges on eigenvalues cut through ties; the far values give empty and
+    # exhaustive windows
+    edge = st.one_of(
+        st.sampled_from(sorted(set(evals.ravel().tolist()))),
+        st.floats(-5.0, 5.0, allow_nan=False),
+        st.sampled_from([-10.0, -9.0, 9.0, 10.0]),
+    )
+    low, high = sorted((draw(edge), draw(edge)))
+    return BandSelection.energy_window(low, high if high > low else low + 1.0)
+
+
+class TestBatchedSeparation:
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(st.data())
+    def test_separations_match_per_row_separation_exactly(self, data):
+        evals = data.draw(sorted_spectra())
+        sel = data.draw(selections_for(evals))
+        if sel.mode == "index_window" and sel.start + sel.count > evals.shape[1]:
+            with pytest.raises(ValueError) as batched:
+                sel.separations(evals)
+            with pytest.raises(ValueError) as single:
+                sel.separation(evals[0])
+            assert str(batched.value) == str(single.value)
+            return
+        lo, hi, sep = sel.separations(evals)
+        for i, row in enumerate(evals):
+            idx, want = sel.separation(row)
+            assert list(idx) == list(range(lo[i], hi[i]))
+            assert np.float64(sep[i]).tobytes() == np.float64(want).tobytes()
+
+    def test_signed_zero_tie_gives_the_same_bits(self):
+        # a row may hold -0.0 after 0.0; their difference is then -0.0
+        evals = np.array([[0.0, -0.0, 1.0]])
+        for sel in (BandSelection.lowest(1), BandSelection.index_window(1, 1)):
+            _, _, sep = sel.separations(evals)
+            want = sel.separation(evals[0])[1]
+            assert np.float64(sep[0]).tobytes() == np.float64(want).tobytes()
+
+    def test_empty_and_exhaustive_windows_are_infinitely_separated(self):
+        evals = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.5, 0.5]])
+        for low, high, rank in ((5.0, 6.0, 0), (-6.0, -5.0, 0), (-3.0, 3.0, 3)):
+            lo, hi, sep = BandSelection.energy_window(low, high).separations(evals)
+            assert list(hi - lo) == [rank, rank]
+            assert list(sep) == [np.inf, np.inf]
+
+
+def diagonal_family(spectra, selection):
+    """One-dimensional family whose H(k) is diag(spectra[k]) at points k = 0, 1, ..."""
+    spectra = np.asarray(spectra, dtype=float)
+
+    def evaluator(points):
+        rows = spectra[np.asarray(points[:, 0], dtype=int)]
+        return np.einsum("ki,ij->kij", rows, np.eye(rows.shape[1])).astype(complex)
+
+    return ProjectorFamily(
+        dim=1,
+        fiber_dim=spectra.shape[1],
+        selection=selection,
+        evaluator=evaluator,
+        tau=TauRep(kind="trivial", fiber_dim=spectra.shape[1]),
+    )
+
+
+class TestSelectionErrors:
+    # the lowest band touches the next one at point 2 (split 1e-12) and at
+    # point 4 (exact tie); the first offending point names the separation
+    SPECTRA = [[-1.0, 0.0, 2.0], [-1.0, -0.5, 2.0], [-1.0, -1.0 + 1e-12, 2.0],
+               [-1.0, 0.0, 2.0], [-1.0, -1.0, 2.0]]
+    POINTS = np.arange(5.0).reshape(-1, 1)
+
+    @pytest.mark.parametrize("method", ["projectors", "frames"])
+    def test_degenerate_boundary_raises_at_first_offending_point(self, method):
+        fam = diagonal_family(self.SPECTRA, BandSelection.lowest(1))
+        message = (r"^selection boundary falls inside a degenerate cluster "
+                   r"\(separation 1\.000e-12\)$")
+        with pytest.raises(AmbiguousSelectionError, match=message):
+            getattr(fam, method)(self.POINTS)
+
+    @pytest.mark.parametrize("method", ["projectors", "frames"])
+    def test_energy_window_empty_at_one_point_raises(self, method):
+        fam = diagonal_family(self.SPECTRA[:2], BandSelection.energy_window(-0.7, -0.2))
+        with pytest.raises(AmbiguousSelectionError, match="^energy window selects no eigenvalue$"):
+            getattr(fam, method)(self.POINTS[:2])
+
+    def test_window_wider_than_spectrum_raises_value_error(self):
+        fam = diagonal_family(self.SPECTRA, BandSelection.index_window(2, 2))
+        message = r"^index window 2\.\.3 exceeds the 3 available bands$"
+        for call in (fam.frames, fam.projectors):
+            with pytest.raises(ValueError, match=message):
+                call(self.POINTS)
+        model = build_builtin("haldane")
+        wide = ProjectorFamily.from_model(model, BandSelection.index_window(1, 2))
+        message = r"^index window 1\.\.2 exceeds the 2 available bands$"
+        with pytest.raises(ValueError, match=message):
+            gap_check(wide, BrillouinGrid(model.lattice, (4, 4)))
+
+    def test_frames_refuse_varying_rank(self):
+        fam = diagonal_family(self.SPECTRA[:2], BandSelection.energy_window(-1.5, -0.2))
+        message = r"^selection rank varies over the points: \[1, 2\]$"
+        with pytest.raises(GaplessError, match=message):
+            fam.frames(self.POINTS[:2])
+
+    def test_gap_check_with_varying_rank_keeps_the_per_point_argmin(self):
+        model = build_builtin("haldane", {"M": 0.3})
+        # the window edge at -2 cuts through the lowest band (-3.01 .. -0.74)
+        sel = BandSelection.energy_window(-2.0, 0.0)
+        fam = ProjectorFamily.from_model(model, sel)
+        g = BrillouinGrid(model.lattice, (12, 12))
+        report = gap_check(fam, g)
+        # oracle: the per-point separation, minimized in grid order
+        evals, _ = fam.eigensystems(g.reduced)
+        seps = [sel.separation(row)[1] for row in evals]
+        ranks = {sel.separation(row)[0].size for row in evals}
+        first = int(np.argmin(seps))
+        assert len(ranks) > 1
+        assert report.rank_constant is False
+        assert report.gapless is True
+        assert report.argmin == tuple(float(x) for x in g.reduced[first])
+        assert report.min_gap == seps[first]
 
 
 class TestSpectralProjector:
