@@ -78,19 +78,6 @@ def _jsonable(obj):
     return obj
 
 
-def _parse_params(text):
-    out = {}
-    for piece in filter(None, (text or "").split(",")):
-        if "=" not in piece:
-            raise UsageError(f"params: expected name=value, got {piece!r}")
-        name, _, value = piece.partition("=")
-        try:
-            out[name.strip()] = float(value)
-        except ValueError:
-            raise UsageError(f"params: value for {name.strip()!r} is not a number")
-    return out
-
-
 def _parse_grid(text):
     if not text:
         raise UsageError("grid: at least one size is required")
@@ -106,23 +93,29 @@ def _parse_grid(text):
 
 
 def _parse_selection(text, model):
+    if text is not None and not isinstance(text, str):
+        raise UsageError(f"bands: selection must be a string such as 'lowest:1', got {text!r}")
     if not text:
         return BandSelection.lowest(model.n_occ)
     kind, _, rest = text.partition(":")
+    if kind not in ("lowest", "window", "energy"):
+        raise UsageError(
+            f"bands: unknown selection kind {kind!r} (use lowest:/window:/energy:)"
+        )
     try:
-        if kind == "lowest":
-            return BandSelection.lowest(int(rest))
-        if kind == "window":
-            start, count = rest.split(",")
-            return BandSelection.index_window(int(start), int(count))
         if kind == "energy":
             low, high = rest.split(",")
             return BandSelection.energy_window(float(low), float(high))
+        if kind == "lowest":
+            selection = BandSelection.lowest(int(rest))
+        else:
+            start, count = rest.split(",")
+            selection = BandSelection.index_window(int(start), int(count))
     except (ValueError, TypeError):
         raise UsageError(f"bands: malformed selection {text!r}")
-    raise UsageError(
-        f"bands: unknown selection kind {kind!r} (use lowest:/window:/energy:)"
-    )
+    if selection.start + selection.count > model.fiber_dim:
+        raise UsageError(f"bands: {text!r} selects past the {model.fiber_dim} bands of the model")
+    return selection
 
 
 def _parse_path(text, dim):
@@ -149,30 +142,9 @@ def _parse_path(text, dim):
     return np.array(points)
 
 
-_CONFIG_KEYS = {
-    "model",
-    "params",
-    "model_file",
-    "grid",
-    "bands",
-    "output",
-    "report",
-    "path",
-    "path_steps",
-    "flow_csv",
-    "curvature_csv",
-    "vary",
-    "start",
-    "stop",
-    "steps",
-    "invariant",
-    "tolerance",
-}
-
-
-def _merge_config(args):
-    if not getattr(args, "config", None):
-        return args
+def _merge_config(args, dests):
+    if not args.config:
+        return
     try:
         with open(args.config) as fh:
             stored = json.load(fh)
@@ -183,34 +155,67 @@ def _merge_config(args):
     if not isinstance(stored, dict):
         raise UsageError("config: top level must be an object")
     for key, value in stored.items():
-        if key not in _CONFIG_KEYS:
+        if key not in dests:
             raise UsageError(f"config: unknown field {key!r}")
-        if getattr(args, key, None) is None:
+        if getattr(args, key) is None:
             setattr(args, key, value)
-    return args
 
 
 def _build_model(args):
-    if getattr(args, "model_file", None):
-        if getattr(args, "model", None):
+    if args.model_file:
+        if args.model:
             raise UsageError("model: give either --model or --model-file, not both")
         try:
             return load_model(args.model_file)
         except OSError as exc:
             raise UsageError(f"model_file: cannot read {args.model_file}: {exc}")
-    if not getattr(args, "model", None):
+    if not args.model:
         raise UsageError("model: --model or --model-file is required")
     return build_builtin(args.model, _params(args))
 
 
 def _params(args):
-    params = getattr(args, "params", None)
-    return params if isinstance(params, dict) else _parse_params(params)
+    """The parameter overrides, from name=value text or a config object, checked finite."""
+    params = args.params
+    if params is None or isinstance(params, str):
+        text, params = params or "", {}
+        for piece in filter(None, text.split(",")):
+            if "=" not in piece:
+                raise UsageError(f"params: expected name=value, got {piece!r}")
+            name, _, value = piece.partition("=")
+            try:
+                params[name.strip()] = float(value)
+            except ValueError:
+                raise UsageError(f"params: value for {name.strip()!r} is not a number")
+    if not isinstance(params, dict):
+        raise UsageError(f"params: expected name=value text or an object, got {params!r}")
+    for name, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
+            raise UsageError(f"params: value for {name!r} must be a finite number, got {value!r}")
+    return params
+
+
+def _positive(args, dest, kind, default):
+    """args.<dest> as a finite positive ``kind``; ``default`` only when it is absent."""
+    value = getattr(args, dest)
+    if value is None:
+        return default
+    try:
+        if 0 < kind(value) < np.inf:
+            return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise UsageError(f"{dest}: must be a finite positive number, got {value!r}")
+
+
+def _require_dim(model, what, dim):
+    if dim is not None and model.lattice.dim != dim:
+        raise UsageError(f"model: {what} needs a {dim}-dimensional model, got {model.lattice.dim}")
 
 
 def _make_grid(args, model):
     """The --grid sizes as a grid of the model's lattice; one size is broadcast."""
-    if getattr(args, "grid", None) is None:
+    if args.grid is None:
         raise UsageError("grid: --grid is required for this command")
     sizes = _parse_grid(args.grid)
     if len(sizes) == 1 and model.lattice.dim > 1:
@@ -222,11 +227,16 @@ def _make_grid(args, model):
     return make_grid(model.lattice, sizes)
 
 
-def _family_and_grid(args, need_grid=True):
+def _family_and_grid(args, gapped=None):
+    """Model, family and grid, the model's dimension checked against the command's."""
     model = _build_model(args)
-    selection = _parse_selection(getattr(args, "bands", None), model)
-    family = ProjectorFamily.from_model(model, selection)
-    return model, family, _make_grid(args, model) if need_grid else None
+    family = ProjectorFamily.from_model(model, _parse_selection(args.bands, model))
+    grid = _make_grid(args, model)
+    if gapped:
+        # first: a gapless family is a physics error whatever its dimension
+        gap_check(family, grid).require(gapped)
+    _require_dim(model, args.command, _COMMANDS[args.command][2])
+    return model, family, grid
 
 
 def _model_summary(model):
@@ -234,13 +244,11 @@ def _model_summary(model):
 
 
 def cmd_bands(args):
-    model, family, _ = _family_and_grid(args, need_grid=False)
-    if not getattr(args, "output", None):
+    model = _build_model(args)
+    if not args.output:
         raise UsageError("output: bands writes CSV and needs --output")
-    vertices = _parse_path(getattr(args, "path", None), model.lattice.dim)
-    steps = int(getattr(args, "path_steps", None) or 50)
-    if steps < 1:
-        raise UsageError("path_steps: must be at least 1")
+    vertices = _parse_path(args.path, model.lattice.dim)
+    steps = _positive(args, "path_steps", int, 50)
     points = []
     for a, b in zip(vertices[:-1], vertices[1:]):
         for t in range(steps):
@@ -266,19 +274,13 @@ def cmd_bands(args):
 
 def cmd_audit(args):
     model, family, grid = _family_and_grid(args)
-    tol = float(getattr(args, "tolerance", None) or 1e-9)
+    tol = _positive(args, "tolerance", float, 1e-9)
     fam_audit = verify_projector_symmetries(family, grid, tol=tol)
     model_audit = verify_model_symmetries(model, grid, tol=tol)
     return {
         "model": _model_summary(model),
         "grid": list(grid.sizes),
-        "projector_audit": {
-            "residuals": _jsonable(fam_audit.residuals),
-            "argmax": _jsonable(fam_audit.argmax),
-            "verdicts": _jsonable(fam_audit.verdicts),
-            "even_rank_violation": bool(fam_audit.even_rank_violation),
-            "tolerance": tol,
-        },
+        "projector_audit": _jsonable(fam_audit.to_json()),
         "model_audit": {
             "tr_residual": _jsonable(model_audit.tr_residual),
             "sr_residual": _jsonable(model_audit.sr_residual),
@@ -291,26 +293,20 @@ def cmd_audit(args):
 
 def cmd_gap(args):
     model, family, grid = _family_and_grid(args)
-    threshold = getattr(args, "tolerance", None)
-    report = gap_check(family, grid, threshold=float(threshold) if threshold else None)
+    report = gap_check(family, grid, threshold=_positive(args, "tolerance", float, None))
     return {
         "model": _model_summary(model),
         "grid": list(grid.sizes),
-        "min_gap": report.min_gap,
-        "argmin": _jsonable(report.argmin),
-        "gapless": bool(report.gapless),
-        "threshold": report.threshold,
-        "rank_constant": bool(report.rank_constant),
+        **_jsonable(report.to_json()),
     }
 
 
 def cmd_chern(args):
-    model, family, grid = _family_and_grid(args)
-    gap_check(family, grid).require("Chern number")
+    model, family, grid = _family_and_grid(args, gapped="Chern number")
     field = berry_curvature(family, grid)
     curvature = chern_number_curvature(field)
     plaquette = chern_number_plaquette(family, grid)
-    if getattr(args, "curvature_csv", None):
+    if args.curvature_csv:
         export_curvature_csv(field, args.curvature_csv)
     return {
         "model": _model_summary(model),
@@ -325,7 +321,7 @@ def cmd_z2(args):
     model, family, grid = _family_and_grid(args)
     winding = z2_boundary_winding(family, grid)
     flow = z2_wilson_flow(family, grid)
-    if getattr(args, "flow_csv", None):
+    if args.flow_csv:
         with open(args.flow_csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             m = flow.flow["phases"].shape[1]
@@ -354,7 +350,7 @@ def cmd_z2_3d(args):
 
 def cmd_wannier(args):
     model, family, grid = _family_and_grid(args)
-    if not getattr(args, "output", None):
+    if not args.output:
         raise UsageError("output: wannier writes the set as CSV and needs --output")
     gap_check(family, grid).require("Wannier set")
     frame = smooth_periodic_frame(family, grid)
@@ -378,22 +374,24 @@ def _sweep_invariant(kind, family, grid):
         return int(z2_wilson_flow(family, grid).delta)
     if kind == "chern":
         return int(chern_number_plaquette(family, grid).value)
-    return None
 
 
 def cmd_sweep(args):
-    if not getattr(args, "vary", None):
+    if not args.vary:
         raise UsageError("vary: --vary names the parameter to sweep")
     for field in ("start", "stop", "steps"):
-        if getattr(args, field, None) is None:
+        if getattr(args, field) is None:
             raise UsageError(f"{field}: required for sweep")
     steps = int(args.steps)
     if steps < 2:
         raise UsageError("steps: need at least 2 sweep points")
     values = np.linspace(float(args.start), float(args.stop), steps)
 
-    base = _build_model(args)
-    invariant_kind = getattr(args, "invariant", None)
+    if not args.model:
+        raise UsageError("model: --model is required")
+    base_params = _params(args)
+    base = build_builtin(args.model, base_params)
+    invariant_kind = args.invariant
     if invariant_kind is None:
         if base.lattice.dim == 2 and base.time_reversal is not None and base.time_reversal.sign == -1:
             invariant_kind = "z2"
@@ -404,23 +402,21 @@ def cmd_sweep(args):
     if invariant_kind not in ("z2", "chern", "none"):
         raise UsageError(f"invariant: unknown kind {invariant_kind!r}")
 
-    if getattr(args, "model_file", None):
-        raise UsageError("sweep: only builtin models can be swept (--model)")
-    base_params = _params(args)
     if args.vary not in BUILTIN_DEFAULTS.get(args.model, {}):
         raise UsageError(
             f"vary: {args.vary!r} is not a parameter of {args.model!r}"
         )
     # builtin lattices do not depend on the parameters, so one grid serves every point
     grid = _make_grid(args, base)
+    if invariant_kind != "none":
+        _require_dim(base, f"sweep --invariant {invariant_kind}", 2)
 
     points = []
     for value in values:
         params = dict(base_params)
         params[args.vary] = float(value)
         model = build_builtin(args.model, params)
-        selection = _parse_selection(getattr(args, "bands", None), model)
-        family = ProjectorFamily.from_model(model, selection)
+        family = ProjectorFamily.from_model(model, _parse_selection(args.bands, model))
         report = gap_check(family, grid)
         record = {
             "value": float(value),
@@ -452,70 +448,74 @@ def cmd_sweep(args):
     }
 
 
-_COMMANDS = {
-    "bands": cmd_bands,
-    "audit": cmd_audit,
-    "gap": cmd_gap,
-    "chern": cmd_chern,
-    "z2": cmd_z2,
-    "z2-3d": cmd_z2_3d,
-    "wannier": cmd_wannier,
-    "sweep": cmd_sweep,
+# dest -> (flag, argparse keywords); a config file names options by dest
+_OPTIONS = {
+    "model": ("--model", {"help": "builtin model name"}),
+    "params": ("--params", {"help": "comma-separated name=value overrides"}),
+    "model_file": ("--model-file", {"help": "JSON model file"}),
+    "grid": ("--grid", {"help": "comma-separated grid sizes (even)"}),
+    "bands": ("--bands", {"help": "selection: lowest:M | window:N0,M | energy:LO,HI"}),
+    "tolerance": ("--tolerance", {"type": float, "help": "tolerance override"}),
+    "output": ("--output", {"help": "output path (CSV commands)"}),
+    "path": ("--path", {"help": "semicolon-separated reduced k-points"}),
+    "path_steps": ("--path-steps", {"type": int, "help": "samples per path segment (default 50)"}),
+    "curvature_csv": ("--curvature-csv", {"help": "also write the curvature field as CSV"}),
+    "flow_csv": ("--flow-csv", {"help": "also write the Wannier-center flow as CSV"}),
+    "report": ("--report", {"help": "write the JSON report here instead of stdout"}),
+    "vary": ("--vary", {"help": "parameter to sweep"}),
+    "start": ("--from", {"type": float, "help": "sweep start"}),
+    "stop": ("--to", {"type": float, "help": "sweep end"}),
+    "steps": ("--steps", {"type": int, "help": "number of sweep points"}),
+    "invariant": ("--invariant", {"choices": ["z2", "chern", "none"],
+                                  "help": "per-point invariant (default by symmetry)"}),
 }
 
+_MODEL = ("model", "params", "model_file")
+_FAMILY = _MODEL + ("grid", "bands")
 
-def _add_common(sub):
-    sub.add_argument("--model", help="builtin model name")
-    sub.add_argument("--params", help="comma-separated name=value overrides")
-    sub.add_argument("--model-file", dest="model_file", help="JSON model file")
-    sub.add_argument("--grid", help="comma-separated grid sizes (even)")
-    sub.add_argument("--bands", help="selection: lowest:M | window:N0,M | energy:LO,HI")
-    sub.add_argument("--output", help="output path (CSV commands)")
-    sub.add_argument("--config", help="JSON file mirroring the flags")
-    sub.add_argument("--tolerance", type=float, help="tolerance override")
+# subcommand -> (handler, the options it reads, the model dimension it needs)
+_COMMANDS = {
+    "bands": (cmd_bands, _MODEL + ("output", "path", "path_steps"), None),
+    "audit": (cmd_audit, _FAMILY + ("tolerance",), None),
+    "gap": (cmd_gap, _FAMILY + ("tolerance",), None),
+    "chern": (cmd_chern, _FAMILY + ("curvature_csv",), 2),
+    "z2": (cmd_z2, _FAMILY + ("flow_csv",), 2),
+    "z2-3d": (cmd_z2_3d, _FAMILY, 3),
+    "wannier": (cmd_wannier, _FAMILY + ("output", "report"), None),
+    # a sweep needs dimension 2 only for its invariant, checked in cmd_sweep
+    "sweep": (cmd_sweep, ("model", "params", "grid", "bands",
+                          "vary", "start", "stop", "steps", "invariant"), None),
+}
 
 
 def build_parser():
     parser = _Parser(prog="blochtopo", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sub = subs.add_parser(name, prog=f"blochtopo {name}")
-        _add_common(sub)
-        if name == "bands":
-            sub.add_argument("--path", help="semicolon-separated reduced k-points")
-            sub.add_argument("--path-steps", dest="path_steps", type=int,
-                             help="samples per path segment (default 50)")
-        if name == "chern":
-            sub.add_argument("--curvature-csv", dest="curvature_csv",
-                             help="also write the curvature field as CSV")
-        if name == "z2":
-            sub.add_argument("--flow-csv", dest="flow_csv",
-                             help="also write the Wannier-center flow as CSV")
-        if name == "wannier":
-            sub.add_argument("--report", help="write the JSON report here instead of stdout")
-        if name == "sweep":
-            sub.add_argument("--vary", help="parameter to sweep")
-            sub.add_argument("--from", dest="start", type=float, help="sweep start")
-            sub.add_argument("--to", dest="stop", type=float, help="sweep end")
-            sub.add_argument("--steps", type=int, help="number of sweep points")
-            sub.add_argument("--invariant", choices=["z2", "chern", "none"],
-                             help="per-point invariant (default by symmetry)")
+    for name, (_, dests, _) in _COMMANDS.items():
+        # no abbreviations: a prefix such as --to would otherwise reach --tolerance
+        sub = subs.add_parser(name, prog=f"blochtopo {name}", allow_abbrev=False)
+        sub.add_argument("--config", help="JSON file mirroring the flags")
+        for dest in dests:
+            flag, kwargs = _OPTIONS[dest]
+            sub.add_argument(flag, dest=dest, **kwargs)
     return parser
 
 
+def _parse_args(argv):
+    """argv parsed, with the --config file filling the options left unset."""
+    args = build_parser().parse_args(argv)
+    _merge_config(args, _COMMANDS[args.command][1])
+    return args
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        args = _merge_config(args)
-        payload = _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args = _parse_args(argv)
+        payload = _COMMANDS[args.command][0](args)
     except PhysicsError as exc:
         print(f"physics error: {exc}", file=sys.stderr)
         return 2
-    except BlochtopoError as exc:
+    except (UsageError, BlochtopoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -526,9 +526,8 @@ def main(argv=None):
         **payload,
     }
     text = json.dumps(document, indent=2, sort_keys=True)
-    report_path = getattr(args, "report", None)
-    if args.command == "wannier" and report_path:
-        with open(report_path, "w") as fh:
+    if getattr(args, "report", None):
+        with open(args.report, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)

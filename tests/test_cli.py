@@ -12,7 +12,8 @@ import json
 import numpy as np
 import pytest
 
-from blochtopo.cli import main
+from blochtopo.cli import _parse_args, build_parser, main
+from blochtopo.projectors import ProjectorFamily
 
 
 def run(capsys, *argv):
@@ -345,3 +346,217 @@ class TestAudit:
         verdicts = doc["projector_audit"]["verdicts"]
         assert verdicts["time_reversal"] is True
         assert verdicts["kramers_pairing"] is None
+
+
+# The option table, written out by hand so that a change to the parser shows
+# here: dest -> (flag, a value the flag accepts, that value once parsed).
+# Config files name options by dest.
+OPTIONS = {
+    "model": ("--model", "ssh", "ssh"),
+    "params": ("--params", "t=1.0", "t=1.0"),
+    "model_file": ("--model-file", "model.json", "model.json"),
+    "grid": ("--grid", "16", "16"),
+    "bands": ("--bands", "lowest:1", "lowest:1"),
+    "tolerance": ("--tolerance", "0.5", 0.5),
+    "output": ("--output", "out.csv", "out.csv"),
+    "path": ("--path", "0;0.5", "0;0.5"),
+    "path_steps": ("--path-steps", "3", 3),
+    "curvature_csv": ("--curvature-csv", "omega.csv", "omega.csv"),
+    "flow_csv": ("--flow-csv", "flow.csv", "flow.csv"),
+    "report": ("--report", "report.json", "report.json"),
+    "vary": ("--vary", "t", "t"),
+    "start": ("--from", "0.5", 0.5),
+    "stop": ("--to", "0.5", 0.5),
+    "steps": ("--steps", "3", 3),
+    "invariant": ("--invariant", "none", "none"),
+}
+MODEL = {"model", "params", "model_file"}
+FAMILY = MODEL | {"grid", "bands"}
+COMMAND_OPTIONS = {
+    "bands": MODEL | {"output", "path", "path_steps"},
+    "audit": FAMILY | {"tolerance"},
+    "gap": FAMILY | {"tolerance"},
+    "chern": FAMILY | {"curvature_csv"},
+    "z2": FAMILY | {"flow_csv"},
+    "z2-3d": FAMILY,
+    "wannier": FAMILY | {"output", "report"},
+    "sweep": {"model", "params", "grid", "bands", "vary", "start", "stop", "steps", "invariant"},
+}
+
+
+class TestOptionTable:
+    """Each subcommand accepts exactly its options, as flags and as config keys.
+
+    Accepted options are only parsed, never run.
+    """
+
+    @pytest.mark.parametrize(
+        "command,dest",
+        [(c, d) for c in COMMAND_OPTIONS for d in OPTIONS],
+        ids=[f"{c}-{d}" for c in COMMAND_OPTIONS for d in OPTIONS],
+    )
+    def test_option_table(self, capsys, tmp_path, command, dest):
+        flag, text, parsed = OPTIONS[dest]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({dest: parsed}))
+        if dest in COMMAND_OPTIONS[command]:
+            assert getattr(build_parser().parse_args([command, flag, text]), dest) == parsed
+            assert getattr(_parse_args([command, "--config", str(cfg)]), dest) == parsed
+        else:
+            code, _, err = run(capsys, command, flag, text)
+            assert code == 1
+            assert f"error: unrecognized arguments: {flag} {text}" in err
+            code, _, err = run(capsys, command, "--config", str(cfg))
+            assert code == 1
+            assert f"error: config: unknown field '{dest}'" in err
+
+    def test_abbreviated_flag_is_usage(self, capsys):
+        code, _, err = run(capsys, "gap", "--model", "ssh", "--grid", "16", "--tol", "0.5")
+        assert code == 1
+        assert "error: unrecognized arguments: --tol 0.5" in err
+
+    @pytest.mark.parametrize("command", list(COMMAND_OPTIONS))
+    def test_no_other_flags(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        listed = {w.strip("[],") for w in capsys.readouterr().out.split() if w.startswith("[--")}
+        want = {OPTIONS[d][0] for d in COMMAND_OPTIONS[command]}
+        assert listed == want | {"--config"}
+
+
+class TestOptionValues:
+    def test_path_steps_zero_is_usage(self, capsys, tmp_path):
+        out = tmp_path / "bands.csv"
+        code, _, err = run(
+            capsys, "bands", "--model", "ssh", "--output", str(out), "--path-steps", "0"
+        )
+        assert code == 1
+        assert "error: path_steps:" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["audit", "gap"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_non_positive_tolerance_is_usage(self, capsys, command, value):
+        code, _, err = run(
+            capsys, command, "--model", "ssh", "--grid", "16", f"--tolerance={value}"
+        )
+        assert code == 1
+        assert "error: tolerance:" in err
+
+    def test_non_numeric_config_tolerance_is_usage(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "ssh", "grid": "16", "tolerance": "abc"}))
+        code, _, err = run(capsys, "audit", "--config", str(cfg))
+        assert code == 1
+        assert "error: tolerance:" in err
+
+
+class TestParamValues:
+    @pytest.mark.parametrize("command", ["gap", "chern"])
+    def test_nan_param_is_usage(self, capsys, command):
+        code, _, err = run(
+            capsys, command, "--model", "haldane", "--grid", "16", "--params", "M=nan"
+        )
+        assert code == 1
+        assert "error: params:" in err
+
+    def test_inf_param_is_usage(self, capsys):
+        code, _, err = run(
+            capsys, "chern", "--model", "haldane", "--grid", "16", "--params", "t1=inf"
+        )
+        assert code == 1
+        assert "error: params:" in err
+
+    @pytest.mark.parametrize("value", ["abc", float("nan"), True], ids=["string", "nan", "bool"])
+    def test_bad_config_param_is_usage(self, capsys, tmp_path, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "haldane", "grid": "16", "params": {"M": value}}))
+        code, _, err = run(capsys, "gap", "--config", str(cfg))
+        assert code == 1
+        assert "error: params:" in err
+
+    def test_non_object_config_params_is_usage(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "haldane", "grid": "16", "params": [1.0]}))
+        code, _, err = run(capsys, "gap", "--config", str(cfg))
+        assert code == 1
+        assert "error: params:" in err
+
+    def test_config_param_object_accepted(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "haldane", "grid": "16", "params": {"M": 1, "t2": 0.2}}))
+        code, doc, _ = run(capsys, "gap", "--config", str(cfg))
+        assert code == 0
+        assert doc["model"]["params"]["M"] == 1.0
+
+
+class TestBandValues:
+    @pytest.mark.parametrize("command", ["gap", "chern"])
+    @pytest.mark.parametrize("bands", ["lowest:5", "window:1,3"])
+    def test_window_past_the_bands_is_usage(self, capsys, command, bands):
+        code, _, err = run(
+            capsys, command, "--model", "haldane", "--grid", "16", "--bands", bands
+        )
+        assert code == 1
+        assert "error: bands:" in err
+
+    def test_non_string_config_bands_is_usage(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "haldane", "grid": "16", "bands": 5}))
+        code, _, err = run(capsys, "gap", "--config", str(cfg))
+        assert code == 1
+        assert "error: bands:" in err
+
+    def test_whole_spectrum_still_accepted(self, capsys):
+        code, _, _ = run(
+            capsys, "gap", "--model", "haldane", "--grid", "16", "--bands", "lowest:2"
+        )
+        assert code == 0
+
+
+def _no_eigensolve(self, *args, **kwargs):
+    raise AssertionError("eigensolve before the dimension check")
+
+
+def _no_curvature(*args, **kwargs):
+    raise AssertionError("curvature before the dimension check")
+
+
+class TestModelDimension:
+    SWEEP = ("--vary", "tp", "--from", "0.5", "--to", "1.5", "--steps", "3", "--grid", "32")
+
+    @pytest.mark.parametrize(
+        "argv,want",
+        [
+            (("z2", "--model", "ssh", "--grid", "8"), "z2 needs a 2-dimensional model, got 1"),
+            (("z2", "--model", "wilson_dirac_3d", "--grid", "4"),
+             "z2 needs a 2-dimensional model, got 3"),
+            (("z2-3d", "--model", "kane_mele", "--grid", "8"),
+             "z2-3d needs a 3-dimensional model, got 2"),
+            (("sweep", "--model", "ssh", *SWEEP, "--invariant", "chern"),
+             "sweep --invariant chern needs a 2-dimensional model, got 1"),
+        ],
+        ids=["z2-ssh", "z2-wilson_dirac_3d", "z2_3d-kane_mele", "sweep-ssh-chern"],
+    )
+    def test_wrong_dimension_before_any_eigensolve(self, capsys, monkeypatch, argv, want):
+        monkeypatch.setattr(ProjectorFamily, "eigensystems", _no_eigensolve)
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert f"error: model: {want}" in err
+
+    @pytest.mark.parametrize(
+        "model,grid,got", [("ssh", "8", 1), ("wilson_dirac_3d", "4", 3)],
+        ids=["ssh", "wilson_dirac_3d"],
+    )
+    def test_chern_wrong_dimension_before_curvature(self, capsys, monkeypatch, model, grid, got):
+        # chern's gap check comes first, so a gapless 1D family stays exit 2
+        # (TestExitCodes::test_gapless_family_is_physics)
+        monkeypatch.setattr("blochtopo.cli.berry_curvature", _no_curvature)
+        code, _, err = run(capsys, "chern", "--model", model, "--grid", grid)
+        assert code == 1
+        assert f"error: model: chern needs a 2-dimensional model, got {got}" in err
+
+    def test_sweep_without_invariant_needs_no_dimension(self, capsys):
+        code, doc, _ = run(capsys, "sweep", "--model", "ssh", *self.SWEEP)
+        assert code == 0
+        assert doc["invariant_kind"] == "none"
