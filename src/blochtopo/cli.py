@@ -63,6 +63,7 @@ def _utc_stamp():
 
 
 def _jsonable(obj):
+    """``obj`` as plain JSON values; a non-finite float becomes None (null)."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -70,7 +71,7 @@ def _jsonable(obj):
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        return float(obj) if np.isfinite(obj) else None
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, np.ndarray):
@@ -208,6 +209,29 @@ def _positive(args, dest, kind, default):
     raise UsageError(f"{dest}: must be a finite positive number, got {value!r}")
 
 
+def _finite(args, dest, kind):
+    """Required args.<dest> as a finite float, or (``kind=int``) a whole number."""
+    value = getattr(args, dest)
+    if value is None:
+        raise UsageError(f"{dest}: required for sweep")
+    try:
+        number = kind(value)
+        if not isinstance(value, bool) and np.isfinite(number) and number == float(value):
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    what = "an integer" if kind is int else "a finite number"
+    raise UsageError(f"{dest}: must be {what}, got {value!r}")
+
+
+def _require_plaquette_grid(grid):
+    """Refuse, before any eigensolve, a grid too coarse for the plaquette Chern number."""
+    if grid.dim >= 2 and min(grid.sizes) < 8:
+        raise UsageError(
+            f"grid: the plaquette method needs at least 8 points per axis, got {list(grid.sizes)}"
+        )
+
+
 def _require_dim(model, what, dim):
     if dim is not None and model.lattice.dim != dim:
         raise UsageError(f"model: {what} needs a {dim}-dimensional model, got {model.lattice.dim}")
@@ -227,20 +251,24 @@ def _make_grid(args, model):
     return make_grid(model.lattice, sizes)
 
 
-def _family_and_grid(args, gapped=None):
+def _family_and_grid(args, gapped=None, plaquette=False):
     """Model, family and grid, the model's dimension checked against the command's."""
     model = _build_model(args)
     family = ProjectorFamily.from_model(model, _parse_selection(args.bands, model))
     grid = _make_grid(args, model)
+    dim = _COMMANDS[args.command][2]
+    if plaquette and dim in (None, grid.dim):
+        # a model of the wrong dimension gets the dimension error below instead
+        _require_plaquette_grid(grid)
     if gapped:
         # first: a gapless family is a physics error whatever its dimension
         gap_check(family, grid).require(gapped)
-    _require_dim(model, args.command, _COMMANDS[args.command][2])
+    _require_dim(model, args.command, dim)
     return model, family, grid
 
 
 def _model_summary(model):
-    return {"name": model.name, "params": _jsonable(model.params)}
+    return {"name": model.name, "params": model.params}
 
 
 def cmd_bands(args):
@@ -280,13 +308,13 @@ def cmd_audit(args):
     return {
         "model": _model_summary(model),
         "grid": list(grid.sizes),
-        "projector_audit": _jsonable(fam_audit.to_json()),
+        "projector_audit": fam_audit.to_json(),
         "model_audit": {
-            "tr_residual": _jsonable(model_audit.tr_residual),
-            "sr_residual": _jsonable(model_audit.sr_residual),
-            "tau_residual": _jsonable(model_audit.tau_residual),
-            "spectrum_parity": _jsonable(model_audit.spectrum_parity),
-            "verdicts": _jsonable(model_audit.verdicts),
+            "tr_residual": model_audit.tr_residual,
+            "sr_residual": model_audit.sr_residual,
+            "tau_residual": model_audit.tau_residual,
+            "spectrum_parity": model_audit.spectrum_parity,
+            "verdicts": model_audit.verdicts,
         },
     }
 
@@ -297,12 +325,12 @@ def cmd_gap(args):
     return {
         "model": _model_summary(model),
         "grid": list(grid.sizes),
-        **_jsonable(report.to_json()),
+        **report.to_json(),
     }
 
 
 def cmd_chern(args):
-    model, family, grid = _family_and_grid(args, gapped="Chern number")
+    model, family, grid = _family_and_grid(args, gapped="Chern number", plaquette=True)
     field = berry_curvature(family, grid)
     curvature = chern_number_curvature(field)
     plaquette = chern_number_plaquette(family, grid)
@@ -311,8 +339,8 @@ def cmd_chern(args):
     return {
         "model": _model_summary(model),
         "grid": list(grid.sizes),
-        "curvature_method": _jsonable(curvature.to_json()),
-        "plaquette_method": _jsonable(plaquette.to_json()),
+        "curvature_method": curvature.to_json(),
+        "plaquette_method": plaquette.to_json(),
         "agree": int(curvature.value) == int(plaquette.value),
     }
 
@@ -331,8 +359,8 @@ def cmd_z2(args):
     return {
         "model": _model_summary(model),
         "grid": list(grid.sizes),
-        "boundary_winding": _jsonable(winding.to_json()),
-        "wilson_flow": _jsonable(flow.to_json()),
+        "boundary_winding": winding.to_json(),
+        "wilson_flow": flow.to_json(),
         "agree": winding.delta == flow.delta,
         "delta": int(winding.delta),
     }
@@ -344,12 +372,12 @@ def cmd_z2_3d(args):
     return {
         "model": _model_summary(model),
         "grid": list(grid.sizes),
-        **_jsonable(result.to_json()),
+        **result.to_json(),
     }
 
 
 def cmd_wannier(args):
-    model, family, grid = _family_and_grid(args)
+    model, family, grid = _family_and_grid(args, plaquette=True)
     if not args.output:
         raise UsageError("output: wannier writes the set as CSV and needs --output")
     gap_check(family, grid).require("Wannier set")
@@ -364,8 +392,8 @@ def cmd_wannier(args):
         "output": args.output,
         "norm_defect": wset.diagnostics["norm_defect"],
         "orthonormality_defect": wset.orthonormality_defect(),
-        "localization": _jsonable(report.to_json()),
-        "decay": _jsonable(fit.to_json()),
+        "localization": report.to_json(),
+        "decay": fit.to_json(),
     }
 
 
@@ -379,13 +407,12 @@ def _sweep_invariant(kind, family, grid):
 def cmd_sweep(args):
     if not args.vary:
         raise UsageError("vary: --vary names the parameter to sweep")
-    for field in ("start", "stop", "steps"):
-        if getattr(args, field) is None:
-            raise UsageError(f"{field}: required for sweep")
-    steps = int(args.steps)
+    start = _finite(args, "start", float)
+    stop = _finite(args, "stop", float)
+    steps = _finite(args, "steps", int)
     if steps < 2:
         raise UsageError("steps: need at least 2 sweep points")
-    values = np.linspace(float(args.start), float(args.stop), steps)
+    values = np.linspace(start, stop, steps)
 
     if not args.model:
         raise UsageError("model: --model is required")
@@ -410,6 +437,8 @@ def cmd_sweep(args):
     grid = _make_grid(args, base)
     if invariant_kind != "none":
         _require_dim(base, f"sweep --invariant {invariant_kind}", 2)
+    if invariant_kind == "chern":
+        _require_plaquette_grid(grid)
 
     points = []
     for value in values:
@@ -440,7 +469,7 @@ def cmd_sweep(args):
             transitions.append([last["value"], rec["value"]])
         last = rec
     return {
-        "model": {"name": args.model, "params": _jsonable(base_params)},
+        "model": {"name": args.model, "params": base_params},
         "vary": args.vary,
         "invariant_kind": invariant_kind,
         "points": points,
@@ -519,13 +548,14 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    document = {
+    document = _jsonable({
         "schema": 1,
         "command": args.command,
         "generated_at": _utc_stamp(),
         **payload,
-    }
-    text = json.dumps(document, indent=2, sort_keys=True)
+    })
+    # strict JSON: _jsonable already mapped every non-finite float to null
+    text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
     if getattr(args, "report", None):
         with open(args.report, "w") as fh:
             fh.write(text + "\n")

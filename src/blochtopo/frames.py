@@ -19,7 +19,7 @@ with the redundancy of the strong index checked across plane pairs.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 from scipy.linalg import expm, schur
@@ -504,11 +504,9 @@ def z2_boundary_winding(family, grid, gauge_seed=None):
         (n1 + 3 * n2 // 2, n_loop),
     ]
     for a, b in segments:
-        m_a = match[a]
-        m_b = match[b % n_loop]
+        geodesic = unitary_geodesic(match[a], match[b % n_loop], np.arange(b - a + 1) / (b - a))
         for j in range(a, b + 1):
-            s = (j - a) / (b - a)
-            phi[j % n_loop] = psi[j % n_loop] @ unitary_geodesic(m_a, m_b, s)
+            phi[j % n_loop] = psi[j % n_loop] @ geodesic[j - a]
 
     eps = reshuffle_matrix(m, -1)
     tau_b1 = family.tau.matrix((1, 0))
@@ -587,6 +585,26 @@ def _circ_dist(a, b):
     return d
 
 
+def _matching_steps(prev, nxt):
+    """Phase steps that carry the tracked bands ``prev`` onto ``nxt``.
+
+    ``nxt`` must be sorted. Row s of the shift table sends the i-th smallest
+    wrapped ``prev`` to nxt[(i + s) % m]; the matching rule and its tie
+    order are stated in ``z2_wilson_flow``.
+    """
+    m = len(prev)
+    wrapped_prev = np.mod(prev + np.pi, 2 * np.pi) - np.pi
+    shifts = np.arange(m)
+    perms = np.empty((m, m), dtype=int)
+    perms[:, np.argsort(wrapped_prev, kind="stable")] = (shifts[:, None] + shifts) % m
+    steps = _circ_dist(nxt[perms], wrapped_prev)
+    sizes = np.abs(steps)
+    totals = np.sum(sizes, axis=1)
+    tied = np.flatnonzero(totals <= np.min(totals) + 1e-9)
+    # argmin keeps the first, i.e. the lowest, of equal shifts
+    return steps[tied[np.argmin(np.max(sizes[tied], axis=1))]]
+
+
 def z2_wilson_flow(family, grid):
     """Z2 invariant from Wilson-loop eigenphase flow across half a period.
 
@@ -594,6 +612,18 @@ def z2_wilson_flow(family, grid):
     its eigenphases are tracked in k2 by proximity matching, and delta is
     the parity of the signed crossings of a reference phase line (pi, or
     the midpoint of the largest eigenphase gap at k2 = 0 if pi collides).
+
+    Matching from one row to the next minimizes the total circular step
+    sum |step| over assignments of tracked bands to new phases. Some cyclic
+    shift of the sorted phases always attains that minimum (Karp & Li,
+    Discrete Math. 13, 129 (1975)), so only the m shifts are scored, in
+    O(m^2). Ties are broken in this order: every shift whose total is
+    within 1e-9 of the smallest counts as tied; among those the smallest
+    largest |step| wins, then the lowest shift. So when all bands move the
+    same way, which many assignments tie on in exact arithmetic, the one
+    with the smallest largest step is taken, not the one that rounding
+    happens to favour. A row whose largest step is pi/2 or more is
+    bisected in k2.
     """
     _check_z2_preconditions(family, grid)
     n1, n2 = grid.sizes
@@ -619,16 +649,6 @@ def z2_wilson_flow(family, grid):
         w = _wilson_loop(family, k2, n1)
         return np.sort(np.angle(np.linalg.eigvals(w)))
 
-    def best_steps(prev, nxt):
-        wrapped_prev = np.mod(prev + np.pi, 2 * np.pi) - np.pi
-        best = None
-        for perm in permutations(range(m)):
-            steps = _circ_dist(nxt[list(perm)], wrapped_prev)
-            key = (float(np.sum(np.abs(steps))), float(np.max(np.abs(steps))), perm)
-            if best is None or key < best[0]:
-                best = (key, steps)
-        return best[1]
-
     max_step = 0.0
     aux_rows = 0
 
@@ -637,7 +657,7 @@ def z2_wilson_flow(family, grid):
         # eigenphases move too fast for unambiguous proximity matching,
         # bisect in k2 (the Wilson loop is computable at any k2)
         nonlocal max_step, aux_rows
-        steps = best_steps(prev, nxt)
+        steps = _matching_steps(prev, nxt)
         largest = float(np.max(np.abs(steps)))
         if largest < np.pi / 2:
             max_step = max(max_step, largest)

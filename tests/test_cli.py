@@ -560,3 +560,110 @@ class TestModelDimension:
         code, doc, _ = run(capsys, "sweep", "--model", "ssh", *self.SWEEP)
         assert code == 0
         assert doc["invariant_kind"] == "none"
+
+
+class TestSweepValues:
+    BASE = {"model": "kane_mele", "grid": "16", "vary": "lv", "start": 0, "stop": 0.6, "steps": 3}
+
+    def sweep(self, capsys, tmp_path, **overrides):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**self.BASE, **overrides}))
+        return run(capsys, "sweep", "--config", str(cfg))
+
+    def test_non_numeric_config_steps_is_usage(self, capsys, tmp_path):
+        code, _, err = self.sweep(capsys, tmp_path, steps="abc")
+        assert code == 1
+        assert "error: steps: must be an integer, got 'abc'" in err
+
+    def test_fractional_config_steps_is_usage(self, capsys, tmp_path):
+        code, _, err = self.sweep(capsys, tmp_path, steps=2.5)
+        assert code == 1
+        assert "error: steps: must be an integer" in err
+
+    def test_one_config_step_is_usage(self, capsys, tmp_path):
+        code, _, err = self.sweep(capsys, tmp_path, steps=1)
+        assert code == 1
+        assert "error: steps: need at least 2 sweep points" in err
+
+    def test_non_numeric_config_start_is_usage(self, capsys, tmp_path):
+        code, _, err = self.sweep(capsys, tmp_path, start="abc")
+        assert code == 1
+        assert "error: start: must be a finite number, got 'abc'" in err
+
+    def test_non_numeric_config_stop_is_usage(self, capsys, tmp_path):
+        code, _, err = self.sweep(capsys, tmp_path, stop=[0.6])
+        assert code == 1
+        assert "error: stop: must be a finite number" in err
+
+    def test_non_finite_start_flag_is_usage(self, capsys):
+        code, _, err = run(
+            capsys,
+            "sweep", "--model", "kane_mele", "--vary", "lv",
+            "--from", "nan", "--to", "0.6", "--steps", "3", "--grid", "16",
+        )
+        assert code == 1
+        assert "error: start: must be a finite number" in err
+
+    def test_non_finite_stop_flag_is_usage(self, capsys):
+        code, _, err = run(
+            capsys,
+            "sweep", "--model", "kane_mele", "--vary", "lv",
+            "--from", "0", "--to", "inf", "--steps", "3", "--grid", "16",
+        )
+        assert code == 1
+        assert "error: stop: must be a finite number" in err
+
+    def test_numeric_config_values_accepted(self, capsys, tmp_path):
+        code, doc, _ = self.sweep(capsys, tmp_path, start="0", steps=3.0)
+        assert code == 0
+        assert [p["value"] for p in doc["points"]] == [0.0, 0.3, 0.6]
+
+
+class TestPlaquetteGrid:
+    # the plaquette Chern number needs 8 points per axis; chern, a chern
+    # sweep and a 2D/3D wannier set (its obstruction check) use it
+    WANT = "error: grid: the plaquette method needs at least 8 points per axis"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("chern", "--model", "haldane", "--grid", "4"),
+            ("chern", "--model", "haldane", "--grid", "16,4"),
+            ("sweep", "--model", "haldane", "--vary", "M",
+             "--from", "0.9", "--to", "1.2", "--steps", "4", "--grid", "4"),
+            ("wannier", "--model", "kane_mele", "--grid", "4", "--output", "w.csv"),
+            ("wannier", "--model", "wilson_dirac_3d", "--grid", "4", "--output", "w.csv"),
+        ],
+        ids=["chern", "chern-one-axis", "sweep-chern", "wannier-2d", "wannier-3d"],
+    )
+    def test_coarse_grid_before_any_eigensolve(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(ProjectorFamily, "eigensystems", _no_eigensolve)
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert self.WANT in err
+        assert "Traceback" not in err
+
+    def test_one_dimensional_wannier_still_runs(self, capsys, tmp_path):
+        out = tmp_path / "w.csv"
+        code, _, _ = run(capsys, "wannier", "--model", "ssh", "--grid", "4", "--output", str(out))
+        assert code == 0
+        assert out.exists()
+
+    def test_z2_still_runs(self, capsys):
+        code, doc, _ = run(capsys, "z2", "--model", "kane_mele", "--grid", "4")
+        assert code == 0
+        assert doc["agree"]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("bands", ["lowest:2", "energy:5,6"])
+    def test_missing_gap_is_null(self, capsys, bands):
+        code = main(["gap", "--model", "haldane", "--grid", "16", "--bands", bands])
+        out = capsys.readouterr().out
+        assert code == 0
+        doc = json.loads(out, parse_constant=_refuse_constant)
+        assert doc["min_gap"] is None

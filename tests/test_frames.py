@@ -8,8 +8,12 @@ eigenphase-flow invariants, which share no code path beyond the projector
 evaluator.
 """
 
+import time
+from itertools import permutations
+
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from blochtopo import (
     BandSelection,
@@ -28,6 +32,8 @@ from blochtopo import (
     z2_boundary_winding,
     z2_wilson_flow,
 )
+from blochtopo.core import TimeReversal
+from blochtopo.frames import _circ_dist, _matching_steps
 from blochtopo.models import HoppingModel, bloch_hamiltonian
 from blochtopo import Lattice, RefinementError
 
@@ -271,6 +277,122 @@ class TestZ2TwoDimensional:
         fam = ProjectorFamily.from_model(model)
         with pytest.raises(ValueError):
             z2_boundary_winding(fam, BrillouinGrid(model.lattice, (12,)))
+
+
+def _all_assignments(prev, nxt):
+    """(sum |step|, max |step|, perm, steps) for every assignment of ``prev`` onto ``nxt``."""
+    wrapped = np.mod(prev + np.pi, 2 * np.pi) - np.pi
+    rows = []
+    for perm in permutations(range(len(prev))):
+        steps = _circ_dist(nxt[list(perm)], wrapped)
+        rows.append((float(np.sum(np.abs(steps))), float(np.max(np.abs(steps))), perm, steps))
+    return rows
+
+
+def _matching_cases(rng, count):
+    """Seeded (prev, sorted nxt) pairs, m <= 6, cycling through the hard shapes."""
+    for case in range(count):
+        m = 1 if case % 10 == 0 else int(rng.integers(2, 7))
+        shape = case % 4
+        # tracked phases are unwrapped, so they may sit several periods away
+        prev = rng.uniform(-np.pi, np.pi, m) + 2 * np.pi * rng.integers(-2, 3, m)
+        if shape == 0:  # every band moves the same way
+            moved = prev + rng.uniform(-1.5, 1.5)
+        elif shape == 1:  # degenerate (Kramers) pairs
+            prev = np.repeat(rng.uniform(-np.pi, np.pi, (m + 1) // 2), 2)[:m]
+            moved = prev + rng.normal(0.0, 0.3, m)
+        elif shape == 2:  # phases on the +-pi cut
+            prev = rng.choice([np.pi, -np.pi, 0.0, 3 * np.pi], m)
+            moved = prev + rng.choice([0.0, 0.05, -0.05], m)
+        else:  # unrelated rows
+            moved = rng.uniform(-np.pi, np.pi, m)
+        yield prev, np.sort(np.angle(np.exp(1j * moved)))
+
+
+class TestWilsonFlowMatching:
+    def test_shift_rule_matches_brute_force(self):
+        for prev, nxt in _matching_cases(np.random.default_rng(27), 400):
+            rows = _all_assignments(prev, nxt)
+            best = min(total for total, *_ in rows)
+            tied_max = min(largest for total, largest, *_ in rows if total <= best + 1e-9)
+            steps = _matching_steps(prev, nxt)
+            assert abs(float(np.sum(np.abs(steps))) - best) <= 1e-12, (prev, nxt)
+            assert abs(float(np.max(np.abs(steps))) - tied_max) <= 1e-12, (prev, nxt)
+            wrapped = np.mod(prev + np.pi, 2 * np.pi) - np.pi
+            landed = np.mod(wrapped + steps + np.pi, 2 * np.pi) - np.pi
+            assert np.allclose(np.sort(landed), np.sort(np.mod(nxt + np.pi, 2 * np.pi) - np.pi))
+
+    def test_near_coincident_phases_tie_within_tolerance(self):
+        # two tracked bands 1e-12 apart: the assignments that swap their
+        # targets differ by ~1e-12 in the sum, so they tie and the smaller
+        # largest step wins at a total within the 1e-9 tie tolerance
+        prev = np.array([np.pi - 1e-12, np.pi, 0.0])
+        nxt = np.sort(np.angle(np.exp(1j * (prev + np.array([0.2, -0.3, 0.1])))))
+        rows = _all_assignments(prev, nxt)
+        best = min(total for total, *_ in rows)
+        steps = _matching_steps(prev, nxt)
+        assert float(np.sum(np.abs(steps))) <= best + 1e-9
+        assert float(np.max(np.abs(steps))) == pytest.approx(
+            min(largest for total, largest, *_ in rows if total <= best + 1e-9), abs=1e-12
+        )
+
+    def test_uniform_shift_takes_the_smaller_largest_step(self):
+        # both bands move up by 0.9; the swapped assignment (steps 1.0 and
+        # 0.8) ties in exact arithmetic, and its float sum is the smaller one,
+        # so the (sum, max, perm) order of an exhaustive search picks it
+        prev, nxt = np.array([0.0, 0.1]), np.array([0.9, 1.0])
+        by_float_key = min(_all_assignments(prev, nxt), key=lambda row: row[:3])
+        assert by_float_key[1] == pytest.approx(1.0)
+        assert np.allclose(_matching_steps(prev, nxt), [0.9, 0.9])
+
+    def test_single_band(self):
+        steps = _matching_steps(np.array([3 * np.pi - 0.1]), np.array([-np.pi + 0.1]))
+        assert np.allclose(steps, [0.2])
+
+
+def _direct_sum(models):
+    """Block-diagonal sum of four-band models on the first one's lattice."""
+    offsets = sorted(set().union(*(m.hoppings for m in models)))
+    zero = np.zeros((4, 4), dtype=complex)
+    return HoppingModel(
+        lattice=models[0].lattice,
+        fiber_dim=sum(m.fiber_dim for m in models),
+        n_occ=sum(m.n_occ for m in models),
+        hoppings={r: block_diag(*(m.hoppings.get(r, zero) for m in models)) for r in offsets},
+        time_reversal=TimeReversal(block_diag(*(m.time_reversal.unitary for m in models)), -1),
+    )
+
+
+class TestZ2DirectSums:
+    # (params, delta) per copy: Kane-Mele is nontrivial for lv < 3 sqrt(3) lso
+    # (lso = 0.06), BHZ for -4B < M < 0 (B = 1)
+    COPIES = {
+        "kane_mele": [({"lv": 0.1}, 1), ({"lv": 0.5}, 0), ({"lv": 0.15}, 1),
+                      ({"lv": 0.45}, 0), ({"lv": 0.05}, 1), ({"lv": 0.6}, 0)],
+        "bhz": [({"M": -1.0}, 1), ({"M": 1.0}, 0), ({"M": -1.5}, 1),
+                ({"M": 0.8}, 0), ({"M": -0.7}, 1), ({"M": 1.2}, 0)],
+    }
+    # rank 12 at 16^2 takes ~2 s on a 2-vCPU host; trying all 12! band
+    # permutations per row step would take hours
+    SECONDS = 30.0
+
+    @pytest.mark.parametrize(
+        "name,copies", [("kane_mele", 2), ("bhz", 3), ("kane_mele", 6), ("bhz", 6)],
+        ids=["kane_mele-rank4", "bhz-rank6", "kane_mele-rank12", "bhz-rank12"],
+    )
+    def test_both_methods_give_the_summed_index(self, name, copies):
+        chosen = self.COPIES[name][:copies]
+        model = _direct_sum([build_builtin(name, params) for params, _ in chosen])
+        fam = ProjectorFamily.from_model(model)
+        grid = BrillouinGrid(model.lattice, (16, 16))
+        want = sum(delta for _, delta in chosen) % 2
+        start = time.perf_counter()
+        winding = z2_boundary_winding(fam, grid)
+        flow = z2_wilson_flow(fam, grid)
+        elapsed = time.perf_counter() - start
+        assert flow.flow["phases"].shape[1] == 2 * copies
+        assert winding.delta == flow.delta == want
+        assert elapsed < self.SECONDS
 
 
 class TestZ2ThreeDimensional:
