@@ -84,6 +84,7 @@ from .models import (
     bhz,
     bloch_hamiltonian,
     build_builtin,
+    exact_symmetry_residuals,
     haldane,
     kane_mele,
     load_model,

@@ -3,13 +3,14 @@
 Subcommands: bands, audit, gap, chern, z2, z2-3d, wannier, sweep. Structured
 results are JSON (schema versioned, deterministic up to the timestamp field);
 bulk numeric tables (band structures, curvature fields, Wannier sets, center
-flows) are CSV. Exit codes: 0 success, 1 usage or configuration error,
-2 physics error (gapless family, topological obstruction).
+flows) are CSV. Exit codes: 0 success, 1 usage or configuration error or a
+closed stdout, 2 physics error (gapless family, topological obstruction).
 """
 
 import argparse
 import csv
 import json
+import os
 import sys
 from datetime import datetime, timezone
 
@@ -28,6 +29,7 @@ from .models import (
     BUILTIN_DEFAULTS,
     bloch_hamiltonian_batch,
     build_builtin,
+    exact_symmetry_residuals,
     load_model,
     verify_model_symmetries,
 )
@@ -170,6 +172,8 @@ def _build_model(args):
             return load_model(args.model_file)
         except OSError as exc:
             raise UsageError(f"model_file: cannot read {args.model_file}: {exc}")
+        except (ValueError, KeyError, TypeError) as exc:
+            raise UsageError(f"model_file: {args.model_file}: {type(exc).__name__}: {exc}")
     if not args.model:
         raise UsageError("model: --model or --model-file is required")
     return build_builtin(args.model, _params(args))
@@ -305,6 +309,11 @@ def cmd_audit(args):
     tol = _positive(args, "tolerance", float, 1e-9)
     fam_audit = verify_projector_symmetries(family, grid, tol=tol)
     model_audit = verify_model_symmetries(model, grid, tol=tol)
+    exact = exact_symmetry_residuals(model, model.time_reversal, model.space_reflection)
+    exact = {name: None if res is None else res[0] for name, res in exact.items()}
+    exact["verdicts"] = {
+        name: None if res is None else res <= tol * model.scale for name, res in exact.items()
+    }
     return {
         "model": _model_summary(model),
         "grid": list(grid.sizes),
@@ -315,6 +324,7 @@ def cmd_audit(args):
             "tau_residual": model_audit.tau_residual,
             "spectrum_parity": model_audit.spectrum_parity,
             "verdicts": model_audit.verdicts,
+            "exact": exact,
         },
     }
 
@@ -560,7 +570,15 @@ def main(argv=None):
         with open(args.report, "w") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader left: what is still buffered goes to devnull, not to the exit flush
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            print("error: stdout closed before the report was written", file=sys.stderr)
+            return 1
     return 0
 
 

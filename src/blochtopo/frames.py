@@ -35,6 +35,7 @@ from .errors import (
 )
 from .geometry import chern_number_plaquette
 from .linalg import closest_unitary, operator_norm, unitary_geodesic, unitary_log
+from .models import HoppingModel, exact_symmetry_residuals
 from .projectors import gap_check, verify_projector_symmetries
 
 __all__ = [
@@ -367,14 +368,23 @@ def _check_z2_preconditions(family, grid):
     theta = family.time_reversal
     if theta is None or theta.sign != -1:
         raise SymmetryError("Z2 invariants need a fermionic time reversal")
-    gap_check(family, grid).require("Z2 invariant")
-    audit = verify_projector_symmetries(family, grid)
-    if not audit.verdicts.get("time_reversal"):
-        raise SymmetryError(
-            f"time-reversal audit failed: residual "
-            f"{audit.residuals['time_reversal']:.3e} at k={audit.argmax['time_reversal']}"
-        )
-    if audit.even_rank_violation:
+    report = gap_check(family, grid).require("Z2 invariant")
+    if isinstance(family.source, HoppingModel):
+        # a proof for every k, which P(k) inherits for any selection
+        residual, worst = exact_symmetry_residuals(family.source, theta)["time_reversal"]
+        if residual > 1e-9 * family.source.scale:
+            raise SymmetryError(
+                f"time reversal fails on the hopping data: sum over R of "
+                f"||U conj(H_R) U^dagger - H_R|| is {residual:.3e}, largest at R={worst}"
+            )
+    else:
+        audit = verify_projector_symmetries(family, grid)
+        if not audit.verdicts.get("time_reversal"):
+            raise SymmetryError(
+                f"time-reversal audit failed: residual "
+                f"{audit.residuals['time_reversal']:.3e} at k={audit.argmax['time_reversal']}"
+            )
+    if report.rank % 2:
         raise EvenRankError("fermionic family has odd selection rank")
 
 

@@ -36,6 +36,7 @@ __all__ = [
     "load_model",
     "save_model",
     "verify_model_symmetries",
+    "exact_symmetry_residuals",
     "BUILTIN_DEFAULTS",
 ]
 
@@ -43,6 +44,11 @@ _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _I2 = np.eye(2, dtype=complex)
+
+
+def _hopping_scale(hoppings):
+    """max(1, max_R max|H_R|): the magnitude hopping tolerances are relative to."""
+    return max(1.0, max((float(np.max(np.abs(m))) for m in hoppings.values()), default=1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +82,7 @@ class HoppingModel:
             if mat.shape != (self.fiber_dim, self.fiber_dim):
                 raise ValueError(f"hopping matrix at {r} has shape {mat.shape}")
             clean[r] = mat
-        scale = max(1.0, max((float(np.max(np.abs(m))) for m in clean.values()), default=1.0))
+        scale = _hopping_scale(clean)
         for r, mat in clean.items():
             neg = tuple(-x for x in r)
             if neg not in clean:
@@ -95,6 +101,10 @@ class HoppingModel:
     @property
     def dim(self):
         return self.lattice.dim
+
+    @property
+    def scale(self):
+        return _hopping_scale(self.hoppings)
 
     def hopping_arrays(self):
         """(offsets, matrices) as stacked arrays in sorted offset order."""
@@ -408,6 +418,30 @@ def verify_model_symmetries(model, grid, time_reversal=None, space_reflection=No
     )
 
 
+def exact_symmetry_residuals(model, time_reversal=None, space_reflection=None):
+    """Symmetry defects of the hopping coefficients, a proof for every k.
+
+    H(k) is a trigonometric polynomial, so Theta H(k) Theta^{-1} = H(-k) holds
+    at every k exactly when U conj(H_R) U^dagger = H_R for every R, and the
+    reflection exactly when U H_R U^dagger = H_{-R}. For each operator given,
+    (sum_R of the defect's operator norm, the R of the largest); the sum
+    bounds sup_k of the defect of H(k). None for an operator not given.
+    """
+    offsets = sorted(model.hoppings)
+    mats = np.stack([model.hoppings[r] for r in offsets])
+    reflected = np.stack([model.hoppings[tuple(-x for x in r)] for r in offsets])
+    out = {"time_reversal": None, "space_reflection": None}
+    for name, op, image, target in (
+        ("time_reversal", time_reversal, mats.conj(), mats),
+        ("space_reflection", space_reflection, mats, reflected),
+    ):
+        if op is not None:
+            defect = np.einsum("ab,rbc,dc->rad", op.unitary, image, op.unitary.conj()) - target
+            norms = operator_norm(defect)
+            out[name] = (float(np.sum(norms)), offsets[int(np.argmax(norms))])
+    return out
+
+
 def _mat_to_json(mat):
     mat = np.asarray(mat, dtype=complex)
     return {"re": mat.real.tolist(), "im": mat.imag.tolist()}
@@ -477,7 +511,7 @@ def load_model(path):
         hoppings[r] = _mat_from_json(entry, f"hopping R={r}")
         if hoppings[r].shape != (fiber_dim, fiber_dim):
             raise ValueError(f"hopping at {r} has shape {hoppings[r].shape}")
-    scale = max(1.0, max((float(np.max(np.abs(m))) for m in hoppings.values()), default=1.0))
+    scale = _hopping_scale(hoppings)
     for r in sorted(hoppings):
         neg = tuple(-x for x in r)
         if neg not in hoppings:

@@ -428,6 +428,7 @@ class GapReport:
     gapless: bool
     threshold: float
     rank_constant: bool
+    rank: int  # at the first grid point, so everywhere when rank_constant; not in to_json
 
     def to_json(self):
         return {
@@ -473,6 +474,7 @@ def gap_check(family, grid, threshold=None):
         gapless=bool(min_gap < threshold or not rank_constant),
         threshold=float(threshold),
         rank_constant=rank_constant,
+        rank=int(ranks[0]),
     )
 
 

@@ -7,12 +7,19 @@ a schema stamp; bulk tables land in CSV files.
 """
 
 import csv
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blochtopo
 from blochtopo.cli import _parse_args, build_parser, main
+from blochtopo.models import build_builtin, save_model
 from blochtopo.projectors import ProjectorFamily
 
 
@@ -667,3 +674,108 @@ class TestStrictJson:
         assert code == 0
         doc = json.loads(out, parse_constant=_refuse_constant)
         assert doc["min_gap"] is None
+
+
+class TestExactSymmetry:
+    @pytest.mark.parametrize("grid", ["16", "32"])
+    def test_aliased_model_refused_by_z2(self, capsys, tmp_path, aliased_model, grid):
+        path = tmp_path / "aliased.json"
+        save_model(aliased_model, path)
+        code, _, err = run(capsys, "z2", "--model-file", str(path), "--grid", grid)
+        assert code == 1
+        assert err.count("error:") == 1 and err.startswith("error: time reversal fails")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("grid,grid_holds", [("16", True), ("18", False)])
+    def test_audit_reports_the_proof_beside_the_grid(
+        self, capsys, tmp_path, aliased_model, grid, grid_holds
+    ):
+        path = tmp_path / "aliased.json"
+        save_model(aliased_model, path)
+        code, doc, _ = run(capsys, "audit", "--model-file", str(path), "--grid", grid)
+        assert code == 0
+        audit = doc["model_audit"]
+        assert audit["verdicts"]["time_reversal"] is grid_holds
+        assert audit["exact"]["time_reversal"] == pytest.approx(2.0)
+        assert audit["exact"]["verdicts"] == {"time_reversal": False, "space_reflection": None}
+        assert audit["exact"]["space_reflection"] is None
+
+    def test_builtin_audit_proves_its_symmetries(self, capsys):
+        code, doc, _ = run(capsys, "audit", "--model", "kane_mele", "--grid", "8")
+        assert code == 0
+        exact = doc["model_audit"]["exact"]
+        assert exact["time_reversal"] == 0.0 and exact["space_reflection"] == 0.0
+        assert exact["verdicts"] == {"time_reversal": True, "space_reflection": True}
+
+
+class TestMalformedModelFile:
+    def _write(self, tmp_path, edit):
+        path = tmp_path / "model.json"
+        save_model(build_builtin("kane_mele"), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_missing_field_is_usage(self, capsys, tmp_path):
+        path = self._write(tmp_path, lambda doc: doc.pop("basis"))
+        code, _, err = run(capsys, "gap", "--model-file", path, "--grid", "8")
+        assert code == 1
+        assert err.startswith("error: model_file:") and "'basis'" in err
+
+    def test_hopping_without_offset_is_usage(self, capsys, tmp_path):
+        path = self._write(tmp_path, lambda doc: doc["hoppings"][0].pop("R"))
+        code, _, err = run(capsys, "z2", "--model-file", path, "--grid", "8")
+        assert code == 1
+        assert err.startswith("error: model_file:") and "KeyError: 'R'" in err
+
+    def test_non_json_model_file_is_usage(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("not json {")
+        code, _, err = run(capsys, "gap", "--model-file", str(path), "--grid", "8")
+        assert code == 1
+        assert err.startswith("error: model_file:")
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone; fileno is a real descriptor to redirect."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+class TestClosedStdout:
+    def test_broken_pipe_exits_one(self, capsys, monkeypatch, tmp_path):
+        with open(tmp_path / "stdout", "w") as fh:
+            monkeypatch.setattr(sys, "stdout", _ClosedPipe(fh.fileno()))
+            code = main(["gap", "--model", "haldane", "--grid", "8"])
+            monkeypatch.undo()
+            # the descriptor now points at the null device
+            os.write(fh.fileno(), b"late")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: stdout closed before the report was written\n"
+        assert (tmp_path / "stdout").read_text() == ""
+
+    def test_closed_pipe_in_a_real_process(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(blochtopo.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "blochtopo.cli", "gap", "--model", "haldane", "--grid", "8"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60, text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+        assert proc.stderr.count("error:") == 1

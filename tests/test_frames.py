@@ -9,7 +9,8 @@ evaluator.
 """
 
 import time
-from itertools import permutations
+from dataclasses import replace
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from blochtopo import (
 from blochtopo.core import TimeReversal
 from blochtopo.frames import _circ_dist, _matching_steps
 from blochtopo.models import HoppingModel, bloch_hamiltonian
+from blochtopo.projectors import gap_check, verify_projector_symmetries
 from blochtopo import Lattice, RefinementError
 
 
@@ -438,3 +440,71 @@ class TestZ2ThreeDimensional:
         doc = json.loads(json.dumps(res.to_json()))
         assert doc["indices"]["delta_1_0"] == 1
         assert doc["strong"] == 1
+
+
+def _off_plane_breaking(amp=0.3):
+    """wilson_dirac_3d plus amp sin(2 pi k1) sin(2 pi k2) sin(2 pi k3) A.
+
+    The product is odd in k and A is even under the declared time reversal,
+    so the term breaks it, yet it vanishes on all six planes k_j in {0, 1/2}.
+    """
+    base = build_builtin("wilson_dirac_3d")
+    a = np.kron(np.diag([1.0, -1.0]), np.eye(2))
+    hoppings = dict(base.hoppings)
+    for r in product((-1, 1), repeat=3):
+        hoppings[r] = amp * (1j / 8) * np.prod(r) * a
+    return HoppingModel(base.lattice, 4, 2, hoppings, base.time_reversal)
+
+
+class TestExactTimeReversal:
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_aliased_model_refused_where_the_grid_misses_it(self, aliased_model, n):
+        fam = ProjectorFamily.from_model(aliased_model)
+        grid = BrillouinGrid(aliased_model.lattice, (n, n))
+        for method in (z2_boundary_winding, z2_wilson_flow):
+            with pytest.raises(SymmetryError, match=r"hopping data.*R=\(-16, 0\)"):
+                method(fam, grid)
+
+    def test_hopping_families_skip_the_grid_audit(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("grid audit ran on a hopping family")
+
+        monkeypatch.setattr("blochtopo.frames.verify_projector_symmetries", refuse)
+        fam, grid = km_family(0.1)
+        assert z2_boundary_winding(fam, grid).delta == z2_wilson_flow(fam, grid).delta == 1
+
+    def test_other_families_keep_the_grid_audit(self, aliased_model):
+        # without hopping data the check samples P(k), so the alias hides the
+        # breaking term at 16 points per axis and shows it at 18
+        fam = replace(ProjectorFamily.from_model(aliased_model), source=None)
+        assert z2_wilson_flow(fam, BrillouinGrid(aliased_model.lattice, (16, 16))).delta == 1
+        with pytest.raises(SymmetryError, match="time-reversal audit failed"):
+            z2_wilson_flow(fam, BrillouinGrid(aliased_model.lattice, (18, 18)))
+
+    def test_odd_rank_refused_after_both_checks_pass(self):
+        # the exact check's tolerance is relative to max|H_R|: a TR-even term
+        # 1e4 (cos(32 pi k1) - 1), zero on a 16^2 grid, raises it to 1e-5, so a
+        # 1e-6 spin Zeeman term passes while splitting the Kramers pairs by more
+        # than the gap threshold, and one band passes the gap check
+        base = build_builtin("kane_mele", {"lv": 0.1, "lr": 0.05})
+        hoppings = dict(base.hoppings)
+        zeeman = 1e-6 * np.kron(np.eye(2), np.diag([1.0, -1.0]))
+        hoppings[(0, 0)] = hoppings[(0, 0)] - 1e4 * np.eye(4) + zeeman
+        hoppings[(16, 0)] = hoppings[(-16, 0)] = 0.5e4 * np.eye(4)
+        model = HoppingModel(base.lattice, 4, 2, hoppings, base.time_reversal)
+        fam = ProjectorFamily.from_model(model, BandSelection.lowest(1))
+        grid = BrillouinGrid(model.lattice, (16, 16))
+        assert not gap_check(fam, grid).gapless
+        with pytest.raises(EvenRankError):
+            z2_wilson_flow(fam, grid)
+
+    def test_breaking_off_the_invariant_planes_refused_in_3d(self):
+        model = _off_plane_breaking()
+        fam = ProjectorFamily.from_model(model)
+        sub = fam.restrict(0, 0.0)
+        assert sub.time_reversal is not None and sub.source is model
+        # on the plane itself the term vanishes, so a grid audit passes there
+        audit = verify_projector_symmetries(sub, sub.make_grid((8, 8)))
+        assert audit.verdicts["time_reversal"] is True
+        with pytest.raises(SymmetryError, match="hopping data"):
+            z2_3d(fam, BrillouinGrid(model.lattice, (8, 8, 8)))

@@ -9,10 +9,15 @@ small Bloch matrices and act as oracles for the builders.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from blochtopo import (
+    BandSelection,
     BrillouinGrid,
     HermiticityError,
+    Lattice,
+    ProjectorFamily,
     UnknownModelError,
     bloch_hamiltonian,
     build_builtin,
@@ -20,7 +25,14 @@ from blochtopo import (
     save_model,
     verify_model_symmetries,
 )
-from blochtopo.models import BUILTIN_DEFAULTS, bloch_hamiltonian_batch
+from blochtopo.core import SpaceReflection, TimeReversal
+from blochtopo.models import (
+    BUILTIN_DEFAULTS,
+    HoppingModel,
+    bloch_hamiltonian_batch,
+    exact_symmetry_residuals,
+)
+from blochtopo.projectors import gap_check, verify_projector_symmetries
 
 SQ3 = np.sqrt(3.0)
 
@@ -243,3 +255,117 @@ class TestSerialization:
         assert back.time_reversal is not None
         assert back.time_reversal.sign == -1
         assert np.allclose(back.time_reversal.unitary, model.time_reversal.unitary)
+
+
+class TestExactSymmetryResiduals:
+    CASES = [(name, {}) for name in sorted(BUILTIN_DEFAULTS)] + [
+        ("kane_mele", {"lr": 0.05, "lv": 0.1}),
+        ("haldane", {"phi": 0.0, "M": 0.4}),
+        ("bhz", {"C": 0.3, "D": 0.1, "M": -1.5}),
+        ("wilson_dirac_3d", {"m": -4.0}),
+    ]
+
+    @pytest.mark.parametrize("name,params", CASES)
+    def test_builtin_declared_symmetries_are_exact(self, name, params):
+        model = build_builtin(name, params)
+        res = exact_symmetry_residuals(model, model.time_reversal, model.space_reflection)
+        declared = {
+            "time_reversal": model.time_reversal,
+            "space_reflection": model.space_reflection,
+        }
+        assert any(op is not None for op in declared.values())
+        for key, op in declared.items():
+            if op is None:
+                assert res[key] is None
+            else:
+                assert res[key][0] == 0.0
+
+    def test_undeclared_operator_is_measured(self):
+        # haldane's flux breaks plain conjugation: each of the six
+        # second-neighbour offsets carries a defect of norm 2 t2 sin(phi)
+        model = build_builtin("haldane", {"t2": 0.2, "phi": np.pi / 2})
+        conjugation = TimeReversal(np.eye(2), +1)
+        residual, worst = exact_symmetry_residuals(model, conjugation)["time_reversal"]
+        assert residual == pytest.approx(6 * 2 * 0.2)
+        assert worst in model.hoppings and sum(map(abs, worst)) > 0
+
+    def test_reflection_maps_r_to_minus_r(self):
+        # swapping the sublattices of a chain with t != tp is still a symmetry
+        # (it maps R to -R); the identity is not
+        model = build_builtin("ssh", {"t": 1.0, "tp": 0.5})
+        swap = exact_symmetry_residuals(model, None, model.space_reflection)
+        assert swap["space_reflection"][0] == 0.0 and swap["time_reversal"] is None
+        ident = exact_symmetry_residuals(model, None, SpaceReflection(np.eye(2)))
+        assert ident["space_reflection"][0] == pytest.approx(2 * 0.5)
+
+    def test_aliased_term_is_seen_where_the_grid_misses_it(self, aliased_model):
+        res = exact_symmetry_residuals(aliased_model, aliased_model.time_reversal)
+        residual, worst = res["time_reversal"]
+        assert residual == pytest.approx(2.0, abs=1e-12)
+        assert worst in {(16, 0), (-16, 0)}
+        for n, grid_holds in ((16, True), (32, True), (18, False)):
+            grid = BrillouinGrid(aliased_model.lattice, (n, n))
+            audit = verify_model_symmetries(aliased_model, grid)
+            assert audit.verdicts["time_reversal"] is grid_holds
+
+
+# 1 (x) i sigma_y and a matrix it maps to itself under conjugation
+_U = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex))
+_A = np.kron(np.diag([1.0, -1.0]), np.eye(2))
+_HALF_OFFSETS = [(a, b) for a in range(-2, 3) for b in range(-2, 3) if (a, b) > (0, 0)]
+
+
+def _random_tr_model(seed, offsets, odd):
+    """Random Hermitian hoppings, |R_mu| <= 2, symmetrized under U conj(.) U^dagger.
+
+    ``odd`` adds odd * sin(2 pi k1) A, which time reversal maps to its negative.
+    """
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        return rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+
+    h0 = draw()
+    hoppings = {(0, 0): h0 + h0.conj().T}
+    for r in offsets:
+        mat = 0.5 * draw()
+        hoppings[r] = mat
+        hoppings[(-r[0], -r[1])] = mat.conj().T
+    hoppings = {r: 0.5 * (h + _U @ h.conj() @ _U.conj().T) for r, h in hoppings.items()}
+    if odd:
+        zero = np.zeros((4, 4))
+        hoppings[(1, 0)] = hoppings.get((1, 0), zero) - 0.5j * odd * _A
+        hoppings[(-1, 0)] = hoppings.get((-1, 0), zero) + 0.5j * odd * _A
+    return HoppingModel(
+        lattice=Lattice.from_basis(np.eye(2)),
+        fiber_dim=4,
+        n_occ=2,
+        hoppings=hoppings,
+        time_reversal=TimeReversal(_U, -1),
+    )
+
+
+class TestExactAgreesWithGridAudit:
+    @settings(derandomize=True, max_examples=25, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        offsets=st.lists(st.sampled_from(_HALF_OFFSETS), unique=True, max_size=4),
+        odd=st.floats(0.2, 1.0),
+    )
+    def test_symmetrized_passes_and_odd_term_fails_both(self, seed, offsets, odd):
+        grid = BrillouinGrid(Lattice.from_basis(np.eye(2)), (12, 12))
+        model = _random_tr_model(seed, offsets, 0.0)
+        family = ProjectorFamily.from_model(model, BandSelection.lowest(2))
+        # P(k) is only well conditioned where the selected pair is separated
+        assume(gap_check(family, grid).min_gap > 1e-3)
+        residual, _ = exact_symmetry_residuals(model, model.time_reversal)["time_reversal"]
+        assert residual <= 1e-12
+        assert verify_projector_symmetries(family, grid).verdicts["time_reversal"] is True
+
+        broken = _random_tr_model(seed, offsets, odd)
+        residual, _ = exact_symmetry_residuals(broken, broken.time_reversal)["time_reversal"]
+        assert residual > 1e-9 * broken.scale
+        audit = verify_projector_symmetries(ProjectorFamily.from_model(broken), grid)
+        assert audit.verdicts["time_reversal"] is False
+        # the coefficient sum bounds the defect of H(k) at every k
+        assert verify_model_symmetries(broken, grid).tr_residual <= residual + 1e-12
