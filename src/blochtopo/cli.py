@@ -390,7 +390,6 @@ def cmd_wannier(args):
     model, family, grid = _family_and_grid(args, plaquette=True)
     if not args.output:
         raise UsageError("output: wannier writes the set as CSV and needs --output")
-    gap_check(family, grid).require("Wannier set")
     frame = smooth_periodic_frame(family, grid)
     wset = wannier_from_frame(grid, frame.columns)
     export_wannier_csv(wset, args.output)

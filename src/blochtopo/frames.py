@@ -13,9 +13,12 @@ families by two independent routes:
 * Wilson flow: track the eigenphases of the k1 Wilson loop as k2 sweeps half
   a dual period and count crossings of a reference line, mod 2.
 
-The two must agree; tests and the 3D driver enforce that. In 3D the four
-indices are the 2D invariants of the six invariant planes k_j in {0, 1/2},
-with the redundancy of the strong index checked across plane pairs.
+Both read overlaps of frames at neighbouring momenta from ``linalg.links``:
+the half-cell flux fixing the holonomy branch sums ``plaquette_phases``,
+and a Wilson loop is the ordered product of its links. The two must agree;
+tests and the 3D driver enforce that. In 3D the four indices are the 2D
+invariants of the six invariant planes k_j in {0, 1/2}, with the
+redundancy of the strong index checked across plane pairs.
 """
 
 from dataclasses import dataclass, field
@@ -33,8 +36,8 @@ from .errors import (
     RefinementError,
     SymmetryError,
 )
-from .geometry import chern_number_plaquette
-from .linalg import closest_unitary, operator_norm, unitary_geodesic, unitary_log
+from .geometry import chern_number_plaquette, plaquette_phases, tau_closed
+from .linalg import closest_unitary, links, operator_norm, unitary_geodesic, unitary_log
 from .models import HoppingModel, exact_symmetry_residuals
 from .projectors import gap_check, verify_projector_symmetries
 
@@ -413,17 +416,11 @@ def _half_cell_flux(family, grid):
     """
     n1, n2 = grid.sizes
     for factor in (1, 2, 4, 8, 16, 32):
-        i_vals = np.arange(factor * (n1 // 2) + 1)
-        j_vals = np.arange(factor * n2 + 1)
-        pts = np.array(
-            [(i / (factor * n1), -0.5 + j / (factor * n2)) for i in i_vals for j in j_vals]
-        )
-        f = family.frames(pts).reshape(len(i_vals), len(j_vals), family.fiber_dim, -1)
-        d1 = np.linalg.det(np.einsum("ijab,ijac->ijbc", f[:-1, :-1].conj(), f[1:, :-1]))
-        d2 = np.linalg.det(np.einsum("ijab,ijac->ijbc", f[1:, :-1].conj(), f[1:, 1:]))
-        d3 = np.linalg.det(np.einsum("ijab,ijac->ijbc", f[1:, 1:].conj(), f[:-1, 1:]))
-        d4 = np.linalg.det(np.einsum("ijab,ijac->ijbc", f[:-1, 1:].conj(), f[:-1, :-1]))
-        angles = np.angle(d1 * d2 * d3 * d4)
+        shape = (factor * (n1 // 2) + 1, factor * n2 + 1)
+        pts = np.array([(i / (factor * n1), -0.5 + j / (factor * n2))
+                        for i, j in np.ndindex(shape)])
+        f = family.frames(pts).reshape(shape + (family.fiber_dim, -1))
+        angles, _ = plaquette_phases(f)
         if np.max(np.abs(angles)) < np.pi / 2:
             return float(np.sum(angles))
     raise RefinementError(
@@ -578,16 +575,18 @@ def z2_boundary_winding(family, grid, gauge_seed=None):
     )
 
 
-def _wilson_loop(family, k2, n1):
-    pts = np.array([(-0.5 + i / n1, k2) for i in range(n1)])
-    frames = family.frames(pts)
-    m = frames.shape[2]
-    w = np.eye(m, dtype=complex)
-    for i in range(n1 - 1):
-        w = w @ (frames[i].conj().T @ frames[i + 1])
-    closing = family.tau.matrix((1, 0)) @ frames[0]
-    w = w @ (frames[n1 - 1].conj().T @ closing)
-    return closest_unitary(w)
+def _wilson_phases(family, k2s, n1):
+    """Sorted eigenphases of the unitarized k1 Wilson loop at each k2.
+
+    One ``frames`` call serves all rows; a loop is the product of its links.
+    """
+    pts = np.array([(-0.5 + i / n1, k2) for i in range(n1) for k2 in k2s])
+    f = family.frames(pts).reshape(n1, len(k2s), family.fiber_dim, -1)
+    loop = links(tau_closed(family, f, 0), 0)
+    w = loop[0]
+    for link in loop[1:]:
+        w = w @ link
+    return np.sort(np.angle(np.linalg.eigvals(closest_unitary(w))), axis=-1)
 
 
 def _circ_dist(a, b):
@@ -639,11 +638,7 @@ def z2_wilson_flow(family, grid):
     n1, n2 = grid.sizes
     rows = n2 // 2 + 1
     k2s = np.array([j / n2 for j in range(rows)])
-    phases = []
-    for k2 in k2s:
-        w = _wilson_loop(family, k2, n1)
-        phases.append(np.sort(np.angle(np.linalg.eigvals(w))))
-    m = len(phases[0])
+    phases = _wilson_phases(family, k2s, n1)
 
     # the reference line must avoid the eigenphases at both end rows, where
     # the floor-based crossing count would be ill-conditioned
@@ -654,10 +649,6 @@ def z2_wilson_flow(family, grid):
         gaps = np.diff(np.concatenate([srt, [srt[0] + 2 * np.pi]]))
         a = int(np.argmax(gaps))
         ref = float(np.mod(srt[a] + gaps[a] / 2 + np.pi, 2 * np.pi) - np.pi)
-
-    def row_phases(k2):
-        w = _wilson_loop(family, k2, n1)
-        return np.sort(np.angle(np.linalg.eigvals(w)))
 
     max_step = 0.0
     aux_rows = 0
@@ -680,21 +671,16 @@ def z2_wilson_flow(family, grid):
             )
         k2_mid = 0.5 * (k2_lo + k2_hi)
         aux_rows += 1
-        mid = advance(prev, k2_lo, k2_mid, row_phases(k2_mid), depth + 1)
+        mid = advance(prev, k2_lo, k2_mid, _wilson_phases(family, [k2_mid], n1)[0], depth + 1)
         return advance(mid, k2_mid, k2_hi, nxt, depth + 1)
 
-    tracked = np.empty((rows, m))
+    tracked = np.empty_like(phases)
     tracked[0] = phases[0]
     for r in range(1, rows):
         tracked[r] = advance(tracked[r - 1], k2s[r - 1], k2s[r], phases[r], 0)
 
-    crossings = 0
-    for band in range(m):
-        a = tracked[0, band]
-        b = tracked[-1, band]
-        crossings += int(np.floor((b - ref) / (2 * np.pi))) - int(
-            np.floor((a - ref) / (2 * np.pi))
-        )
+    turns = np.floor((tracked[[0, -1]] - ref) / (2 * np.pi))
+    crossings = int(np.sum(turns[1] - turns[0]))
     delta = crossings % 2
     return Z2Result(
         delta=delta,

@@ -9,8 +9,10 @@ with central differences, and integrates it over the reduced-coordinate
 torus. The plaquette method accumulates the phases of frame-overlap
 determinant loops around grid plaquettes; with the periodic (tau-twisted)
 identification of the wraparound row and column its total is an integer
-multiple of 2 pi by construction. Agreement of the two is a strong
-correctness check and is part of the acceptance suite.
+multiple of 2 pi by construction; its links F_j^dagger F_{j+1} come from
+``linalg.links``, shared with the half-cell flux and the Wilson loops.
+Agreement of the two is a strong correctness check and is part of the
+acceptance suite.
 
 Both methods work in reduced coordinates, so a "unit" of curvature pairs
 with the unit cell [-1/2,1/2)^2 and C = (1/2 pi) sum Omega / (N1 N2).
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RefinementError
+from .linalg import links
 from .projectors import gap_check
 
 __all__ = [
@@ -32,6 +35,8 @@ __all__ = [
     "chern_number_plaquette",
     "curvature_parity",
     "export_curvature_csv",
+    "plaquette_phases",
+    "tau_closed",
 ]
 
 
@@ -143,25 +148,29 @@ def chern_number_curvature(field):
     )
 
 
-def _extended_frames(family, grid):
-    """Grid frames plus the tau-identified wraparound row and column.
+def tau_closed(family, frames, axis):
+    """Frames with the wraparound slice at k + b_axis appended along ``axis``.
 
-    The extra samples at k + b_j reuse the stored frames transformed by
-    tau(b_j), which makes the plaquette-phase total an exact multiple of
-    2 pi for periodic families (trivial tau reuses the frames bitwise).
+    The leading axes of ``frames`` index momenta along the family's axes. The
+    appended slice reuses the first one as tau(b_axis) F, which closes a
+    wraparound row, column or Wilson loop exactly for periodic families.
     """
-    n1, n2 = grid.sizes
-    frames = family.frames(grid.reduced)
-    m_h, m = frames.shape[1], frames.shape[2]
-    shaped = frames.reshape((n1, n2, m_h, m))
-    ext = np.empty((n1 + 1, n2 + 1, m_h, m), dtype=complex)
-    ext[:n1, :n2] = shaped
-    t1 = family.tau.matrix((1, 0))
-    t2 = family.tau.matrix((0, 1))
-    ext[n1, :n2] = np.einsum("ij,kjm->kim", t1, shaped[0, :])
-    ext[:n1, n2] = np.einsum("ij,kjm->kim", t2, shaped[:, 0])
-    ext[n1, n2] = t2 @ (t1 @ shaped[0, 0])
-    return ext
+    shift = family.tau.matrix(np.eye(family.dim, dtype=int)[axis])
+    return np.concatenate([frames, shift @ np.take(frames, [0], axis=axis)], axis=axis)
+
+
+def plaquette_phases(corners):
+    """Plaquette phases of an (n1 + 1, n2 + 1, m_H, m) patch of frames.
+
+    Returns the (n1, n2) principal-branch phases of det M1(i, j) det
+    M2(i+1, j) conj(det M1(i, j+1) det M2(i, j)), with M1 and M2 the links
+    along axes 0 and 1, and the smallest |det| of any link.
+    """
+    d1 = np.linalg.det(links(corners, 0))
+    d2 = np.linalg.det(links(corners, 1))
+    loops = d1[:, :-1] * d2[1:, :] * np.conj(d1[:, 1:]) * np.conj(d2[:-1, :])
+    smallest = min(float(np.min(np.abs(d1))), float(np.min(np.abs(d2))))
+    return np.angle(loops), smallest
 
 
 def chern_number_plaquette(family, grid):
@@ -178,19 +187,13 @@ def chern_number_plaquette(family, grid):
     if min(grid.sizes) < 8:
         raise ValueError("plaquette method needs at least 8 points per axis")
     gap_check(family, grid).require("plaquette Chern number")
-    ext = _extended_frames(family, grid)
-    n1, n2 = grid.sizes
-    link1 = np.einsum("abij,abim->abjm", ext[:n1, :].conj(), ext[1:, :])
-    link2 = np.einsum("abij,abim->abjm", ext[:, :n2].conj(), ext[:, 1:])
-    d1 = np.linalg.det(link1)
-    d2 = np.linalg.det(link2)
-    smallest = min(float(np.min(np.abs(d1))), float(np.min(np.abs(d2))))
+    # the tau-identified wraparound row and column make the total a multiple of 2 pi
+    ext = family.frames(grid.reduced).reshape(grid.sizes + (family.fiber_dim, -1))
+    phases, smallest = plaquette_phases(tau_closed(family, tau_closed(family, ext, 0), 1))
     if smallest < 1e-8:
         raise RefinementError(
             f"frame overlap determinant collapsed to {smallest:.3e}; refine the grid"
         )
-    loops = d1[:, :n2] * d2[1:, :n2] * np.conj(d1[:, 1:]) * np.conj(d2[:n1, :])
-    phases = np.angle(loops)
     total = float(np.sum(phases))
     raw = total / (2 * np.pi)
     value = int(np.round(raw))

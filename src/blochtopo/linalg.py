@@ -13,6 +13,7 @@ __all__ = [
     "unitary_log",
     "unitary_geodesic",
     "hermitize",
+    "links",
     "operator_norm",
 ]
 
@@ -36,6 +37,16 @@ def closest_unitary(a):
 def operator_norm(a):
     """Spectral norm (largest singular value), batched over leading axes."""
     return np.linalg.svd(a, compute_uv=False).max(axis=-1)
+
+
+def links(frames, axis):
+    """Links F_j^dagger F_{j+1} along ``axis`` of a (..., m_H, m) frame stack.
+
+    The result (..., m, m) has one entry fewer along ``axis`` (link variables
+    of Fukui, Hatsugai & Suzuki, J. Phys. Soc. Jpn. 74, 1674 (2005)).
+    """
+    f = np.moveaxis(frames, axis, 0)
+    return np.moveaxis(f[:-1].conj().swapaxes(-1, -2) @ f[1:], 0, axis)
 
 
 def eigenphases(u):

@@ -324,18 +324,16 @@ class ProjectorFamily:
         cluster at any point; audits pass strict=False and report instead.
         """
         evals, evecs = self.eigensystems(points)
-        if self.selection.mode == "index_window":
-            lo = self.selection.start
-            hi = lo + self.selection.count
-            if strict:
-                self._require_separated(evals)
-            v = evecs[:, :, lo:hi]
-            return np.einsum("kim,kjm->kij", v, v.conj())
-        out = np.zeros_like(evecs)
-        for i, (row, vec) in enumerate(zip(evals, evecs)):
-            idx = self.selection.select(row) if strict else self.selection.separation(row)[0]
-            v = vec[:, idx]
-            out[i] = v @ v.conj().T
+        if strict:
+            lo, hi = self._require_separated(evals)
+        else:
+            lo, hi, _ = self.selection.separations(evals)
+        # one batched sum per distinct window; an index window is a single one
+        out = np.empty_like(evecs)
+        for a, b in set(zip(lo.tolist(), hi.tolist())):
+            rows = (lo == a) & (hi == b)
+            v = evecs[rows, :, a:b]
+            out[rows] = np.einsum("kim,kjm->kij", v, v.conj())
         return out
 
     def frames(self, points):

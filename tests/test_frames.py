@@ -34,7 +34,7 @@ from blochtopo import (
     z2_wilson_flow,
 )
 from blochtopo.core import TimeReversal
-from blochtopo.frames import _circ_dist, _matching_steps
+from blochtopo.frames import _circ_dist, _matching_steps, _wilson_phases
 from blochtopo.models import HoppingModel, bloch_hamiltonian
 from blochtopo.projectors import gap_check, verify_projector_symmetries
 from blochtopo import Lattice, RefinementError
@@ -253,6 +253,16 @@ class TestZ2TwoDimensional:
         assert res.method == "wilson_flow"
         assert res.residuals["max_step_phase"] < np.pi / 2
         assert res.flow is not None
+
+    def test_batched_wilson_rows_match_single_rows(self):
+        # the grid rows are computed in one batch, bisection rows one at a time
+        fam, grid = km_family(0.1)
+        n1, n2 = grid.sizes
+        k2s = np.array([j / n2 for j in range(n2 // 2 + 1)] + [0.5 / n2])
+        batched = _wilson_phases(fam, k2s, n1)
+        single = np.stack([_wilson_phases(fam, [k2], n1)[0] for k2 in k2s])
+        assert batched.shape == (len(k2s), 2)
+        assert np.max(np.abs(batched - single)) < 1e-14
 
     def test_mini_sweep_flips_once(self):
         deltas = []

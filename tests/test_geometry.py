@@ -20,6 +20,7 @@ from blochtopo import (
     export_curvature_csv,
     smoothness_probe,
 )
+from blochtopo.geometry import plaquette_phases
 
 SQ3 = np.sqrt(3.0)
 
@@ -137,6 +138,28 @@ class TestChernNumbers:
         fam, grid = family_on("haldane", {}, 16)
         res = chern_number_plaquette(fam, grid)
         assert res.residual < 1e-10
+
+    def test_plaquette_phases_match_the_four_determinant_loop(self):
+        # Kane-Mele frames on the effective half-cell [0, 1/2] x [-1/2, 1/2]
+        fam, _ = family_on("kane_mele", {"lr": 0.05, "lv": 0.1}, 12)
+        n1, n2 = 12, 12
+        pts = np.array([(i / n1, -0.5 + j / n2) for i in range(n1 // 2 + 1) for j in range(n2 + 1)])
+        f = fam.frames(pts).reshape(n1 // 2 + 1, n2 + 1, fam.fiber_dim, -1)
+
+        def det(a, b):
+            return np.linalg.det(np.einsum("ijab,ijac->ijbc", a.conj(), b))
+
+        # reference: four overlap determinants per plaquette, counterclockwise
+        loops = (
+            det(f[:-1, :-1], f[1:, :-1])
+            * det(f[1:, :-1], f[1:, 1:])
+            * det(f[1:, 1:], f[:-1, 1:])
+            * det(f[:-1, 1:], f[:-1, :-1])
+        )
+        phases, smallest = plaquette_phases(f)
+        assert phases.shape == (n1 // 2, n2)
+        assert np.max(np.abs(phases - np.angle(loops))) < 1e-13
+        assert 0.5 < smallest <= 1.0 + 1e-12
 
     def test_integration_needs_two_dimensions(self):
         model = build_builtin("ssh")

@@ -18,6 +18,7 @@ from blochtopo import (
     unitary_geodesic,
     unitary_log,
 )
+from blochtopo.linalg import links
 
 
 def random_unitary(rng, n):
@@ -73,6 +74,21 @@ class TestClosestUnitary:
         for _ in range(50):
             v = random_unitary(rng, 4)
             assert np.linalg.norm(a - v) >= best - 1e-12
+
+
+class TestLinks:
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_matches_per_pair_overlaps(self, axis):
+        rng = np.random.default_rng(4)
+        frames = np.stack([[random_unitary(rng, 4)[:, :2] for _ in range(6)] for _ in range(5)])
+        got = links(frames, axis)
+        shape = list(frames.shape[:2])
+        shape[axis] -= 1
+        assert got.shape == tuple(shape) + (2, 2)
+        step = (1, 0) if axis == 0 else (0, 1)
+        for i, j in np.ndindex(*shape):
+            want = frames[i, j].conj().T @ frames[i + step[0], j + step[1]]
+            assert np.max(np.abs(got[i, j] - want)) < 1e-15
 
 
 class TestEigenphases:

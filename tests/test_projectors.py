@@ -338,6 +338,28 @@ class TestProjectorFamily:
         gram = np.einsum("kia,kib->kab", np.conj(frames), frames)
         assert np.max(np.abs(gram - np.eye(frames.shape[2]))) < 1e-12
 
+    def test_energy_window_matches_the_index_window_it_selects(self):
+        model = build_builtin("haldane")
+        pts = BrillouinGrid(model.lattice, (16, 16)).reduced
+        by_index = ProjectorFamily.from_model(model, BandSelection.lowest(1)).projectors(pts)
+        window = BandSelection.energy_window(-10.0, 0.0)
+        by_energy = ProjectorFamily.from_model(model, window).projectors(pts)
+        assert np.max(np.abs(by_energy - by_index)) < 1e-14
+
+    def test_rank_varying_window_matches_per_row_reference(self):
+        model = build_builtin("haldane", {"M": 0.3})
+        # the window edge at -2 cuts through the lowest band (-3.01 .. -0.74)
+        fam = ProjectorFamily.from_model(model, BandSelection.energy_window(-2.0, 0.0))
+        pts = BrillouinGrid(model.lattice, (12, 12)).reduced
+        projs = fam.projectors(pts, strict=False)
+        evals, evecs = fam.eigensystems(pts)
+        ranks = set()
+        for p, row, vec in zip(projs, evals, evecs):
+            v = vec[:, (row >= -2.0) & (row <= 0.0)]
+            ranks.add(v.shape[1])
+            assert np.max(np.abs(p - v @ v.conj().T)) < 1e-14
+        assert ranks == {0, 1}
+
     def test_restrict_fixes_an_axis(self):
         model = build_builtin("wilson_dirac_3d")
         fam = ProjectorFamily.from_model(model)
